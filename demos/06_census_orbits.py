@@ -3,8 +3,12 @@
 Level 1 comes from a vectorized brute scan; higher levels lift each
 nonsingular mod-p point through its smooth fiber of p^{2(k-1)} points.
 For p = 3 mod 4 and D = 0 the census confirms the p(p-3) count and the
-p^k-divisibility of every Vieta orbit.
+p^k-divisibility of every Vieta orbit.  The closing table checks that Aut
+acts transitively on X_0*(Z/p^2) for every prime 5 <= p < 50 (p = 47 has
+over 4.5M points at level 2).
 """
+
+import time
 
 from markoff_padic import (
     check_orbit_divisibility,
@@ -32,3 +36,11 @@ print("divisibility report p=11, k=2:", check_orbit_divisibility(11, 2, 0)["all_
 
 for k in (1, 2, 3):
     print(f"Aut transitive on X_0*(Z/7^{k}):", check_transitivity(7, k, 0, "aut"))
+
+print("\nAut transitivity on X_0*(Z/p^2), D = 0:")
+print("   p    points  transitive  seconds")
+for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+    t0 = time.perf_counter()
+    pts = enumerate_points(p, 2, 0)
+    ok = check_transitivity(p, 2, 0, "aut", points=pts)
+    print(f"{p:4d} {len(pts):9d}  {str(ok):>10}  {time.perf_counter() - t0:7.2f}")

@@ -2,9 +2,17 @@
 
 Points are encoded as single integers x + y*M + z*M^2 with M = p^k, so sets
 of points are sorted int64 arrays and generator images are vectorized numpy
-expressions.  Level-1 sets come from a brute scan; higher levels lift each
-nonsingular mod-p point through its smooth fiber of exactly p^{2(k-1)}
-points instead of scanning p^{3k} triples.
+expressions.  A code is below M^3, so it fits in int64 only while
+M < 2^21; larger p^k is refused up front.  Level-1 sets come from a brute
+scan; higher levels lift each nonsingular mod-p point through its smooth
+fiber of exactly p^{2(k-1)} points instead of scanning p^{3k} triples.
+
+Sets are built and deduplicated by sorting, never by numpy's ``unique``,
+which on numpy 2.x hashes int64 input and runs tens of times slower.
+The scan and the lift produce each point once (scan shards cover disjoint
+x ranges, fibers over distinct mod-p points are disjoint), so they only
+sort; the orbit BFS, whose generator images collide, sorts and drops
+repeated neighbours.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ from .padic import PadicInt, sqrt
 from .surface import ALL_LETTERS, VIETA_LETTERS
 
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
+MAX_MODULUS = 1 << 21  # p^k must stay below this so codes < M^3 fit in int64
 
 
 def _max_mem(explicit=None) -> int:
@@ -35,6 +44,26 @@ def _max_mem(explicit=None) -> int:
             raw = raw[:-1]
             break
     return int(raw) * mult
+
+
+def _code_modulus(p: int, k: int) -> int:
+    """M = p^k, refused when point codes up to M^3 - 1 would overflow int64."""
+    M = p**k
+    if M >= MAX_MODULUS:
+        raise ValueError(
+            f"p^k = {p}^{k} = {M} is too large: point codes need p^k < 2^21 "
+            "to fit in int64"
+        )
+    return M
+
+
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """Distinct values of ``a`` in ascending order: sort, drop repeated neighbours."""
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _decode(codes, M):
@@ -116,12 +145,12 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
     mode "lift" builds levels k >= 2 from the mod-p points through their
     smooth fibers; "auto" picks brute at k = 1 and lift above.
     """
-    d = D.residue_mod(k) if isinstance(D, PadicInt) else D % p**k
+    M = _code_modulus(p, k)
+    d = D.residue_mod(k) if isinstance(D, PadicInt) else D % M
     budget = _max_mem(max_mem)
     if mode == "auto":
         mode = "brute" if k == 1 else "lift"
     if mode == "brute":
-        M = p**k
         if 8 * M * M * 4 > budget:
             raise ValueError(
                 f"budget exceeded: brute scan needs ~{8 * M * M * 4} bytes; "
@@ -133,7 +162,9 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
                 parts = list(pool.map(_brute_shard, shards))
         else:
             parts = [_brute_shard(s) for s in shards]
-        return np.unique(np.concatenate(parts))
+        points = np.concatenate(parts)
+        points.sort()
+        return points
     if mode == "lift":
         if k < 2:
             raise ValueError("lift mode needs k >= 2")
@@ -162,8 +193,9 @@ def _lift_all(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
     steps = np.arange(r, dtype=np.int64) * p
     free1 = np.repeat(steps, r)
     free2 = np.tile(steps, r)
-    out = []
-    for code in base_codes:
+    fiber = r * r
+    out = np.empty(len(base_codes) * fiber, dtype=np.int64)
+    for j, code in enumerate(base_codes):
         x1, y1, z1 = (int(c) for c in _decode(np.int64(code), p))
         partials = ((2 * x1 - y1 * z1) % p, (2 * y1 - x1 * z1) % p, (2 * z1 - x1 * y1) % p)
         solved = next(i for i, pd in enumerate(partials) if pd != 0)
@@ -182,10 +214,9 @@ def _lift_all(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
         coords[solved] = c
         coords[[i for i in range(3) if i != solved][0]] = a
         coords[[i for i in range(3) if i != solved][1]] = b
-        out.append(_encode(coords[0], coords[1], coords[2], M))
-    if not out:
-        return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(out))
+        out[j * fiber : (j + 1) * fiber] = _encode(coords[0], coords[1], coords[2], M)
+    out.sort()
+    return out
 
 
 def count_points(p, k, D, workers=1) -> dict:
@@ -226,7 +257,7 @@ def _expand_orbit(points: np.ndarray, maps, seed_idx: int, visited) -> int:
     n = len(points)
     while frontier.size:
         codes = points[frontier]
-        imgs = np.unique(np.concatenate([m(codes) for m in maps]))
+        imgs = _sorted_distinct(np.concatenate([m(codes) for m in maps]))
         idx = np.searchsorted(points, imgs)
         if np.any(idx >= n) or np.any(points[idx] != imgs):
             raise RuntimeError("generator image escaped the point set")
@@ -239,11 +270,11 @@ def _expand_orbit(points: np.ndarray, maps, seed_idx: int, visited) -> int:
 
 def orbits(p, k, D, gens="gamma", points=None, maps=None, workers=1) -> OrbitPartition:
     """Partition of the level-k point set under the chosen generator family."""
+    M = _code_modulus(p, k)
     if points is None:
         points = enumerate_points(p, k, D, workers=workers)
     if maps is None:
         maps = _gen_maps(p, k, gens)
-    M = p**k
     visited = np.zeros(len(points), dtype=bool)
     part = OrbitPartition(p=p, level=k, gens=gens, total=int(len(points)))
     for seed_idx in range(len(points)):
@@ -258,6 +289,7 @@ def orbits(p, k, D, gens="gamma", points=None, maps=None, workers=1) -> OrbitPar
 
 def check_transitivity(p, k, D, gens="aut", points=None, workers=1) -> bool:
     """True iff the generator action has a single orbit at level k."""
+    _code_modulus(p, k)
     if points is None:
         points = enumerate_points(p, k, D, workers=workers)
     if len(points) == 0:

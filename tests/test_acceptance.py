@@ -50,7 +50,7 @@ def test_criterion_03_transitivity_lift():
         assert census.check_transitivity(p, 1, D, "aut"), "mod-p hypothesis"
         for k in (2, 3):
             ok = ok and census.check_transitivity(p, k, D, "aut")
-    _criterion(3, "Aut transitive at levels 2 and 3", ok, time.perf_counter() - t0, 300.0)
+    _criterion(3, "Aut transitive at levels 2 and 3", ok, time.perf_counter() - t0, 30.0)
 
 
 def test_criterion_04_chebyshev_suite():

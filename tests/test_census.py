@@ -1,11 +1,15 @@
 """Point enumeration, counting, orbits, divisibility, and the catalog."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from markoff_padic.census import (
+    _bfs_exact,
     _decode,
     _gen_maps,
+    _sorted_distinct,
     check_orbit_divisibility,
     check_transitivity,
     count_points,
@@ -14,7 +18,7 @@ from markoff_padic.census import (
     orbits,
 )
 from markoff_padic.padic import PadicInt
-from markoff_padic.surface import is_point, lift_point
+from markoff_padic.surface import ALL_LETTERS, VIETA_LETTERS, is_point, lift_point
 
 
 def _brute_oracle(p, k, D):
@@ -91,6 +95,65 @@ def test_sharded_enumeration_matches():
     assert np.array_equal(a, b)
 
 
+def test_enumeration_strictly_increasing():
+    # the scan and the lift return their points sorted but never deduplicate:
+    # each point must come out exactly once
+    for (p, k, D) in ((5, 2, 3), (7, 3, 0), (11, 2, 0), (13, 2, 0)):
+        runs = [
+            enumerate_points(p, k, D, mode="brute", workers=1),
+            enumerate_points(p, k, D, mode="brute", workers=3),
+            enumerate_points(p, k, D, mode="lift"),
+        ]
+        for pts in runs:
+            assert pts.dtype == np.int64 and len(pts) > 0
+            assert np.all(np.diff(pts) > 0), (p, k, D)
+
+
+def test_sorted_distinct_matches_unique():
+    rng = np.random.default_rng(20250)
+    top = (2**21 - 1) ** 3 - 1  # largest code at the largest allowed modulus
+    cases = [
+        np.empty(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.full(50, 3, dtype=np.int64),
+        np.array([top, 0, top, 1, 0], dtype=np.int64),
+    ]
+    for n in (2, 10, 1000, 20000):
+        cases.append(rng.integers(0, 5, size=n, dtype=np.int64))  # heavy duplicates
+        cases.append(rng.integers(0, n, size=n, dtype=np.int64))
+        cases.append(rng.integers(top - n, top, size=n, dtype=np.int64, endpoint=True))
+        cases.append(rng.integers(0, top, size=n, dtype=np.int64, endpoint=True))
+    for a in cases:
+        before = a.copy()
+        got = _sorted_distinct(a)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.unique(a))
+        assert np.array_equal(a, before)  # input left untouched
+
+
+def test_code_range_guard():
+    # M = 131^3 >= 2^21: codes up to M^3 - 1 would overflow int64, so the
+    # request is refused before any budget check or allocation
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\^21") as exc:
+            enumerate_points(131, 3, 0, max_mem=10**18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "budget" not in str(exc.value)
+    assert peak < 1 << 20
+    pts = np.arange(4, dtype=np.int64)
+    with pytest.raises(ValueError, match="2\\^21"):
+        orbits(131, 3, 0, points=pts)
+    with pytest.raises(ValueError, match="2\\^21"):
+        check_transitivity(131, 3, 0, points=pts)
+    # 127^3 is just below the limit: it passes the range check and meets the budget
+    assert 127**3 < 2**21
+    with pytest.raises(ValueError, match="budget exceeded"):
+        enumerate_points(127, 3, 0, max_mem=10**6)
+
+
 def test_budget_errors():
     with pytest.raises(ValueError, match="budget exceeded"):
         enumerate_points(7, 3, 0, mode="brute", max_mem=10**6)
@@ -136,6 +199,17 @@ def test_singleton_generator_orbit_sizes():
     part = orbits(7, 1, 0, points=pts, maps=[sx])
     assert max(part.orbit_sizes) <= 2
     assert not part.transitive
+
+
+def test_orbit_sizes_match_tuple_bfs():
+    # the vectorized BFS against the pure-python set BFS from each representative
+    cases = ((7, 2, 0, "gamma"), (7, 2, 0, "aut"), (5, 2, 3, "aut"), (11, 2, 0, "gamma"))
+    for (p, k, D, gens) in cases:
+        part = orbits(p, k, D, gens=gens)
+        letters = VIETA_LETTERS if gens == "gamma" else ALL_LETTERS
+        assert sum(part.orbit_sizes) == part.total == len(enumerate_points(p, k, D))
+        for rep, size in zip(part.representatives, part.orbit_sizes):
+            assert _bfs_exact(rep, p, k, letters) == size, (p, k, D, gens, rep)
 
 
 def test_transitivity_examples():

@@ -30,6 +30,8 @@ def test_certify_exit_codes(capsys):
 def test_usage_errors_exit_2(capsys):
     assert main(["census", "--p", "4", "--k", "1"]) == 2
     capsys.readouterr()
+    assert main(["census", "--p", "131", "--k", "3"]) == 2  # 131^3 >= 2^21
+    assert "int64" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["census"])  # missing --p
     assert exc.value.code == 2
