@@ -12,7 +12,6 @@ reproduce every recorded value.
 from __future__ import annotations
 
 import json
-from collections import deque
 
 from . import census
 from .chebyshev import Mat2, chebyshev_T_at
@@ -26,6 +25,8 @@ from .surface import (
     apply_word,
     dist,
     eval_P,
+    generator_formula,
+    is_point,
     lift_point,
     reduce_point,
 )
@@ -107,33 +108,13 @@ def _collision_bfs(pt: SurfacePoint, budget: int) -> AutWord | None:
     visited than there are mod-p classes.
     """
     p = pt.prime
-    M = p * p
+    classes: dict[tuple, tuple] = {}
     start = reduce_point(pt, 2)
-    words: dict[tuple, tuple] = {start: ()}
-    classes: dict[tuple, tuple] = {tuple(c % p for c in start): start}
-    queue = deque([(start, 0)])
-    while queue:
-        (x, y, z), depth = queue.popleft()
-        if depth >= budget:
-            continue
-        w = words[(x, y, z)]
-        for g in VIETA_LETTERS:
-            if g == "sx":
-                t = ((y * z - x) % M, y, z)
-            elif g == "sy":
-                t = (x, (x * z - y) % M, z)
-            else:
-                t = (x, y, (x * y - z) % M)
-            if t in words:
-                continue
-            wt = (g,) + w
-            words[t] = wt
-            cls = tuple(c % p for c in t)
-            if cls in classes:
-                other = classes[cls]
-                return AutWord(words[other]).inverse() * AutWord(wt)
-            classes[cls] = t
-            queue.append((t, depth + 1))
+    for t, word in census.residue_bfs(start, p * p, VIETA_LETTERS, budget):
+        cls = tuple(c % p for c in t)
+        if cls in classes:
+            return AutWord(classes[cls]).inverse() * AutWord(word)
+        classes[cls] = word
     return None
 
 
@@ -244,14 +225,10 @@ def _pick_arbitrary_base(p: int, D: PadicInt, k: int):
     perm = None
     triple = (x1, y1, z1)
     if partials[0] == 0:
-        if partials[1] != 0:
-            perm = "pxy"
-            triple = (y1, x1, z1)
-        elif partials[2] != 0:
-            perm = "pzx"
-            triple = (z1, y1, x1)
-        else:
+        if partials[1] == partials[2] == 0:
             raise ValueError("point is singular mod p")
+        perm = "pxy" if partials[1] != 0 else "pzx"
+        triple = generator_formula(perm)(*triple)
     return lift_point(triple, D, p, k, solved="x"), perm
 
 
@@ -426,59 +403,46 @@ def check_XD(p: int, k: int, D, budget: int = 8, start=None) -> dict:
     T_p contracts each mod-p disk, so the scanned value only depends on the
     mod-p image of word.point; the scan therefore walks Vieta orbits of the
     mod-p census (word length bounded by the budget), lifting one
-    representative per visited class.  A negative report is a valid outcome.
+    representative per visited class.  A given start must be a nonsingular
+    point of X_D mod p.  A negative report is a valid outcome.
     """
     if k < 3:
         raise ValueError("precision >= 3 required")
     D = _coerce_D(D, p, k)
     d2 = D.residue_mod(2)
     if start is not None:
-        starts = [tuple(int(c) % p for c in start)]
+        root = tuple(int(c) % p for c in start)
+        if not is_point([PadicInt(p, 1, c) for c in root], D.truncate(1)):
+            raise ValueError(
+                f"start {tuple(start)} is not a nonsingular point of X_D mod p"
+            )
+        starts = [root]
     else:
-        pts = census.enumerate_points(p, 1, D.residue_mod(1))
-        starts = [
-            tuple(int(v) for v in census._decode(code, p)) for code in pts
-        ]
+        x, y, z = census._decode(census.enumerate_points(p, 1, D.residue_mod(1)), p)
+        starts = list(zip(x.tolist(), y.tolist(), z.tolist()))
     hypotheses_hold = D.residue_mod(2) == 0 or legendre(D - 4) == 1
     scanned = 0
-    globally_seen = set()
+    seen = set()
     for root in starts:
-        if root in globally_seen:
+        if root in seen:
             continue
-        words = {root: ()}
-        queue = deque([(root, 0)])
-        globally_seen.add(root)
-        while queue:
-            (x, y, z), depth = queue.popleft()
+        for t, word in census.residue_bfs(root, p, VIETA_LETTERS, budget):
+            seen.add(t)
             scanned += 1
-            lifted = lift_point((x, y, z), D.truncate(2), p, 2)
+            lifted = lift_point(t, D.truncate(2), p, 2)
             tx, ty, tz = (chebyshev_T_at(c, p) for c in lifted.coords())
             value = eval_P(tx, ty, tz).residue_mod(2)
             if value != d2:
                 return {
                     "found": True,
                     "start": list(root),
-                    "word": str(AutWord(words[(x, y, z)])),
-                    "point": [x, y, z],
+                    "word": str(AutWord(word)),
+                    "point": list(t),
                     "value_mod_p2": value,
                     "D_mod_p2": d2,
                     "scanned": scanned,
                     "certify_hypotheses_hold": hypotheses_hold,
                 }
-            if depth >= budget:
-                continue
-            w = words[(x, y, z)]
-            for g in VIETA_LETTERS:
-                if g == "sx":
-                    t = ((y * z - x) % p, y, z)
-                elif g == "sy":
-                    t = (x, (x * z - y) % p, z)
-                else:
-                    t = (x, y, (x * y - z) % p)
-                if t not in words:
-                    words[t] = (g,) + w
-                    globally_seen.add(t)
-                    queue.append((t, depth + 1))
     return {
         "found": False,
         "scanned": scanned,

@@ -74,11 +74,6 @@ def identity_map(prime: int) -> PointMap:
     return PointMap(prime, lambda w: w, "identity")
 
 
-def polynomial_point_map(prime, fu, fv, kind="identity", A=None, b=None) -> PointMap:
-    """PointMap from two coefficient-style python functions on PadicInt pairs."""
-    return PointMap(prime, lambda w: (fu(w[0], w[1]), fv(w[0], w[1])), kind, A, b)
-
-
 def _vp_factorial(j: int, p: int) -> int:
     e, q = 0, p
     while q <= j:

@@ -105,10 +105,6 @@ def parametrize(pt: SurfacePoint, solved: str = "x") -> PolydiskChart:
     return PolydiskChart(pt, solved)
 
 
-def chart_apply(chart: PolydiskChart, word: AutWord, uv):
-    return chart.apply_word_uv(word, uv)
-
-
 def recentre(chart: PolydiskChart) -> PolydiskChart:
     """Move the chart center to the T_p-fixed base coordinates.
 

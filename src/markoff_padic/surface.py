@@ -7,6 +7,11 @@ double sign changes, and the three coordinate transpositions; a word
 [g1, g2, ..., gn] acts as the composition g1 o g2 o ... o gn (the rightmost
 letter is applied first), so the word ("sy", "sz") is the map s_y s_z that
 multiplies (y, z) by C(x)^2.
+
+``GENERATORS`` is the one definition of the action: each letter's ring
+formula on (x, y, z), with no modulus.  It runs on ``PadicInt`` coordinates
+here and on residues mod p^k in ``census``, which reduces only the
+coordinates a letter rewrites.
 """
 
 from __future__ import annotations
@@ -16,10 +21,27 @@ from functools import total_ordering
 
 from .padic import PadicInt
 
+GENERATORS = {
+    "sx": lambda x, y, z: (y * z - x, y, z),
+    "sy": lambda x, y, z: (x, x * z - y, z),
+    "sz": lambda x, y, z: (x, y, x * y - z),
+    "ex": lambda x, y, z: (x, -y, -z),
+    "ey": lambda x, y, z: (-x, y, -z),
+    "ez": lambda x, y, z: (-x, -y, z),
+    "pxy": lambda x, y, z: (y, x, z),
+    "pyz": lambda x, y, z: (x, z, y),
+    "pzx": lambda x, y, z: (z, y, x),
+}
 VIETA_LETTERS = ("sx", "sy", "sz")
-SIGN_LETTERS = ("ex", "ey", "ez")
-PERM_LETTERS = ("pxy", "pyz", "pzx")
-ALL_LETTERS = VIETA_LETTERS + SIGN_LETTERS + PERM_LETTERS
+ALL_LETTERS = tuple(GENERATORS)  # in table order, the reports' generator_alphabet
+
+
+def generator_formula(letter: str):
+    """The ring formula of one letter, (x, y, z) -> image triple."""
+    try:
+        return GENERATORS[letter]
+    except KeyError:
+        raise ValueError(f"unknown generator letter {letter!r}") from None
 
 
 @dataclass(frozen=True)
@@ -82,26 +104,7 @@ def is_point(triple, D) -> bool:
 
 def apply_generator(letter: str, pt: SurfacePoint) -> SurfacePoint:
     """Image of pt under one generator; the equation value is preserved."""
-    x, y, z = pt.x, pt.y, pt.z
-    if letter == "sx":
-        return SurfacePoint(y * z - x, y, z, pt.D)
-    if letter == "sy":
-        return SurfacePoint(x, x * z - y, z, pt.D)
-    if letter == "sz":
-        return SurfacePoint(x, y, x * y - z, pt.D)
-    if letter == "ex":
-        return SurfacePoint(x, -y, -z, pt.D)
-    if letter == "ey":
-        return SurfacePoint(-x, y, -z, pt.D)
-    if letter == "ez":
-        return SurfacePoint(-x, -y, z, pt.D)
-    if letter == "pxy":
-        return SurfacePoint(y, x, z, pt.D)
-    if letter == "pyz":
-        return SurfacePoint(x, z, y, pt.D)
-    if letter == "pzx":
-        return SurfacePoint(z, y, x, pt.D)
-    raise ValueError(f"unknown generator letter {letter!r}")
+    return SurfacePoint(*generator_formula(letter)(pt.x, pt.y, pt.z), pt.D)
 
 
 def free_reduce(letters) -> tuple[str, ...]:

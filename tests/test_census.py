@@ -195,7 +195,7 @@ def test_singleton_generator_orbit_sizes():
     from markoff_padic.census import _letter_func
 
     pts = enumerate_points(7, 1, 0)
-    sx = _letter_func("sx", 7, 7)
+    sx = _letter_func("sx", 7)
     part = orbits(7, 1, 0, points=pts, maps=[sx])
     assert max(part.orbit_sizes) <= 2
     assert not part.transitive

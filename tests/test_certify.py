@@ -217,3 +217,49 @@ def test_check_XD_exploratory_report_fields():
 def test_check_XD_precision_guard():
     with pytest.raises(ValueError, match="precision"):
         check_XD(7, 2, 0)
+
+
+def test_collision_bfs_words_pinned():
+    # the Vieta collision search, reached directly: exact words at budget 8
+    from markoff_padic.certify import _collision_bfs
+
+    cases = (
+        (7, 0, (4, 1, 1), "sy sx sz sy sx sz"),
+        (13, 0, (5, 1, 0), "sz sy sx sy sz sx sy sz sy sz"),
+        (5, 3, (2, 2, 0), "sz sx sy sx sz"),
+        (11, 3, (5, 0, 0), None),
+    )
+    for p, D, t, expected in cases:
+        pt = lift_point(t, D, p, 3)
+        word = _collision_bfs(pt, 8)
+        if expected is None:
+            assert word is None, (p, D, t)
+            continue
+        assert str(word) == expected, (p, D, t)
+        assert dist(pt, apply_word(word, pt)).exponent == 1
+    # the budget bounds the search depth: at 4 the p = 13 collision is out of reach
+    assert _collision_bfs(lift_point((5, 1, 0), 0, 13, 3), 4) is None
+
+
+def test_check_XD_word_tracking_pinned():
+    rep = check_XD(7, 3, 5)
+    assert rep["found"]
+    assert rep["start"] == [2, 1, 0]
+    assert rep["word"] == "sy sz"
+    assert rep["point"] == [2, 3, 2]
+    assert rep["value_mod_p2"] == 19
+    assert rep["scanned"] == 9
+    # several roots: roots already reached from an earlier root are skipped
+    rep = check_XD(7, 3, 4)
+    assert not rep["found"]
+    assert rep["scanned"] == 46
+    assert check_XD(7, 3, 4, budget=2)["scanned"] == 55
+
+
+def test_check_XD_refuses_a_start_off_the_surface():
+    # P(1, 1, 1) = 2, not 0 mod 7: refused up front, naming the start
+    with pytest.raises(ValueError, match=r"start \(1, 1, 1\) is not a nonsingular point"):
+        check_XD(7, 3, 0, start=(1, 1, 1))
+    # (0, 0, 0) lies on X_0 but is singular mod p
+    with pytest.raises(ValueError, match=r"start \(0, 0, 0\)"):
+        check_XD(7, 3, 0, start=(0, 0, 0))
