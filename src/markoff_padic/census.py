@@ -6,6 +6,8 @@ expressions.  A code is below M^3, so it fits in int64 only while
 M < 2^21; larger p^k is refused up front.  Level-1 sets come from a brute
 scan; higher levels lift each nonsingular mod-p point through its smooth
 fiber of exactly p^{2(k-1)} points instead of scanning p^{3k} triples.
+``_lift_all`` keeps a numpy chord-Newton over ``surface.solve_fiber``'s
+quadratic, for the coordinate that ``surface.unit_partial`` picks.
 
 Sets are built and deduplicated by sorting, never by numpy's ``unique``,
 which on numpy 2.x hashes int64 input and runs tens of times slower.
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .padic import PadicInt, sqrt
-from .surface import ALL_LETTERS, VIETA_LETTERS, generator_formula
+from .surface import ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, unit_partial
 
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
 MAX_MODULUS = 1 << 21  # p^k must stay below this so codes < M^3 fit in int64
@@ -119,12 +121,8 @@ def _brute_shard(args) -> np.ndarray:
         mask = val == d % M
         if not mask.any():
             continue
-        ys, zs, yzs = y[mask], z[mask], yz[mask]
-        nonsing = (
-            ((2 * x - yzs) % p != 0)
-            | ((2 * ys - x * zs) % p != 0)
-            | ((2 * zs - x * ys) % p != 0)
-        )
+        ys, zs = y[mask], z[mask]
+        nonsing = np.any(np.array(gradient(x, ys, zs)) % p != 0, axis=0)
         if nonsing.any():
             out.append(_encode(np.int64(x), ys[nonsing], zs[nonsing], M))
     if not out:
@@ -145,14 +143,17 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
     if mode == "auto":
         mode = "brute" if k == 1 else "lift"
     if mode == "brute":
-        if 8 * M * M * 4 > budget:
+        # one process per shard, at most one per core, each with its own arrays
+        procs = max(1, min(workers, M, os.cpu_count() or 1))
+        need = procs * 8 * M * M * 4
+        if need > budget:
             raise ValueError(
-                f"budget exceeded: brute scan needs ~{8 * M * M * 4} bytes; "
+                f"budget exceeded: brute scan needs ~{need} bytes; "
                 "use mode='lift' (k >= 2) or raise MARKOFF_PADIC_MAX_MEM"
             )
         shards = _x_shards(p, k, d, workers)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+        if procs > 1:
+            with ProcessPoolExecutor(max_workers=procs) as pool:
                 parts = list(pool.map(_brute_shard, shards))
         else:
             parts = [_brute_shard(s) for s in shards]
@@ -190,25 +191,20 @@ def _lift_all(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
     fiber = r * r
     out = np.empty(len(base_codes) * fiber, dtype=np.int64)
     for j, code in enumerate(base_codes):
-        x1, y1, z1 = (int(c) for c in _decode(np.int64(code), p))
-        partials = ((2 * x1 - y1 * z1) % p, (2 * y1 - x1 * z1) % p, (2 * z1 - x1 * y1) % p)
-        solved = next(i for i, pd in enumerate(partials) if pd != 0)
-        base_triple = (x1, y1, z1)
-        others = [base_triple[i] for i in range(3) if i != solved]
-        a = (others[0] + free1) % M
-        b = (others[1] + free2) % M
+        triple = [int(c) for c in _decode(np.int64(code), p)]
+        solved = unit_partial(triple, p)
+        w = pow(gradient(*triple)[solved] % p, -1, M)
+        c = np.full_like(free1, triple.pop(solved))
+        a = (triple[0] + free1) % M
+        b = (triple[1] + free2) % M
         ab = (a * b) % M
         rest = (a * a % M + b * b % M - d) % M
-        w = pow(partials[solved], -1, M)
-        c = np.full_like(a, base_triple[solved])
         for _ in range(k - 1):
             f_val = (c * c % M + rest - ab * c % M) % M
             c = (c - f_val * w) % M
-        coords = [None, None, None]
-        coords[solved] = c
-        coords[[i for i in range(3) if i != solved][0]] = a
-        coords[[i for i in range(3) if i != solved][1]] = b
-        out[j * fiber : (j + 1) * fiber] = _encode(coords[0], coords[1], coords[2], M)
+        coords = [a, b]
+        coords.insert(solved, c)
+        out[j * fiber : (j + 1) * fiber] = _encode(*coords, M)
     out.sort()
     return out
 

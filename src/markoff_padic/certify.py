@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from . import census
-from .chebyshev import Mat2, chebyshev_T_at
+from .chebyshev import Mat2, chebyshev_T_at, rotation_order
 from .flow import local_minimality_det, twisted_minimality_det
 from .padic import PadicInt, legendre, sqrt
 from .polydisk import PolydiskChart, parametrize, recentre
@@ -29,6 +31,7 @@ from .surface import (
     is_point,
     lift_point,
     reduce_point,
+    unit_partial,
 )
 
 SCHEMA_VERSION = 1
@@ -160,31 +163,21 @@ def residual_transitivity(chart: PolydiskChart, gens, extra=None) -> dict:
     """
     p = chart.prime
     words = list(gens) + ([extra] if extra is not None else [])
-    tables = []
+    maps = []
     for word in words:
-        table = [0] * (p * p)
+        table = np.zeros(p * p, dtype=np.int64)
         for iu in range(p):
             for iv in range(p):
                 ju, jv = chart.apply_word_uv(word, chart.uv(iu, iv, level=1))
                 table[iu * p + iv] = (ju.residue % p) * p + (jv.residue % p)
-        tables.append(table)
-    seen = [False] * (p * p)
-    orbit_sizes = []
-    for seed in range(p * p):
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        size = 1
-        stack = [seed]
-        while stack:
-            cur = stack.pop()
-            for table in tables:
-                nxt = table[cur]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    size += 1
-                    stack.append(nxt)
-        orbit_sizes.append(size)
+        maps.append(table.__getitem__)
+    residues = np.arange(p * p, dtype=np.int64)
+    seen = np.zeros(p * p, dtype=bool)
+    orbit_sizes = [
+        census._expand_orbit(residues, maps, seed, seen)
+        for seed in range(p * p)
+        if not seen[seed]
+    ]
     return {
         "transitive": len(orbit_sizes) == 1,
         "orbit_sizes": sorted(orbit_sizes),
@@ -215,19 +208,14 @@ def _pick_arbitrary_base(p: int, D: PadicInt, k: int):
     pts = census.enumerate_points(p, 1, D.residue_mod(1))
     if len(pts) == 0:
         raise ValueError("no points mod p")
-    x1, y1, z1 = (int(v) for v in census._decode(pts[0], p))
-    for c in (x1, y1, z1):
+    triple = tuple(int(v) for v in census._decode(pts[0], p))
+    for c in triple:
         if c % p in (0, 2, p - 2):
             raise ValueError(
                 "expected all coordinates away from 0, +-2 mod p on this route"
             )
-    partials = ((2 * x1 - y1 * z1) % p, (2 * y1 - x1 * z1) % p, (2 * z1 - x1 * y1) % p)
-    perm = None
-    triple = (x1, y1, z1)
-    if partials[0] == 0:
-        if partials[1] == partials[2] == 0:
-            raise ValueError("point is singular mod p")
-        perm = "pxy" if partials[1] != 0 else "pzx"
+    perm = (None, "pxy", "pzx")[unit_partial(triple, p)]
+    if perm is not None:
         triple = generator_formula(perm)(*triple)
     return lift_point(triple, D, p, k, solved="x"), perm
 
@@ -271,16 +259,13 @@ def certify_minimal_polydisk(
 
     # stage 1-2: base point and chart
     try:
-        perm = None
-        if cert["route"] == "special-point":
-            base = find_special_point(p, D, k)
-        elif cert["route"] == "arbitrary-point":
+        if cert["route"] == "arbitrary-point":
             base, perm = _pick_arbitrary_base(p, D, k)
         else:
-            base = find_special_point(p, D, k)
+            base, perm = find_special_point(p, D, k), None
         original = base.residues()
         chart = parametrize(base, "x")
-        if cert["route"] == "exceptional-p5":
+        if exceptional:
             centred = chart  # (2, 0) are exact fixed points of T_5
         else:
             centred = recentre(chart)
@@ -308,14 +293,12 @@ def certify_minimal_polydisk(
     # stage 4-5: residual transitivity
     try:
         m_g = m_h = n // 2
-        if optimize_exponent and cert["route"] != "exceptional-p5":
-            from .chebyshev import rotation_order
-
+        if optimize_exponent and not exceptional:
             r_y = rotation_order(centred.base.y)
             r_z = rotation_order(centred.base.z)
             m_g = r_y if r_y % 2 else r_y // 2
             m_h = r_z if r_z % 2 else r_z // 2
-        if cert["route"] == "exceptional-p5":
+        if exceptional:
             gens = [
                 AutWord(("sy", "sz")).power(p),
                 AutWord(("sz", "sx")).power(p),
@@ -338,7 +321,7 @@ def certify_minimal_polydisk(
 
     # stage 6: minimal subdisk determinant
     try:
-        if cert["route"] == "exceptional-p5":
+        if exceptional:
             z0 = centred.base.z
             c2 = (centred.partial * n) * (z0 * z0 - 4).invert()
             A = Mat2(

@@ -95,9 +95,6 @@ class DensePoly:
             acc = acc * x + c
         return acc
 
-    def reduced(self, level: int) -> "DensePoly":
-        return DensePoly(self.prime, level, self.coeffs)
-
 
 @dataclass(frozen=True)
 class Mat2:

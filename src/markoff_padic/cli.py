@@ -16,7 +16,7 @@ import sys
 
 from . import census, certify, chebyshev, flow, polydisk
 from .padic import PadicInt, sqrt
-from .surface import ALL_LETTERS
+from .surface import ALL_LETTERS, lift_point
 
 _D_PATTERN = re.compile(
     r"^\(?\s*(-?\d+)\s*([+-])\s*(?:(\d+)\s*\*\s*)?sqrt\(\s*(-?\d+)\s*\)\s*\)?"
@@ -186,8 +186,6 @@ def cmd_expansions(args) -> dict:
     cert = certify.certify_minimal_polydisk(p, k, d, budget=args.budget_words)
     if cert["base_point"] is None:
         raise ValueError("could not build a chart: " + "; ".join(cert["stage_failures"]))
-    from .surface import lift_point
-
     base = lift_point(cert["base_point"]["recentred"], d, p, k, solved="x")
     chart = polydisk.parametrize(base, "x")
     suites = {"xi_expansion": polydisk.verify_xi_expansion(chart)}

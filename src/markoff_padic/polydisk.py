@@ -12,14 +12,14 @@ than the ambient points.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .chebyshev import fixed_point_Tp
 from .flow import PointMap
-from .padic import PadicInt, newton_solve
-from .surface import AutWord, SurfacePoint, apply_word, reduce_point
+from .padic import PadicInt
+from .surface import AutWord, SurfacePoint, apply_word, reduce_point, solve_fiber
 
 _CYCLIC_BASES = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
-_PARTIAL_INDEX = {"x": 0, "y": 1, "z": 2}
 
 
 class PolydiskChart:
@@ -32,7 +32,7 @@ class PolydiskChart:
         self.base = base
         self.solved = solved
         self.base_names = _CYCLIC_BASES[solved]
-        self.partial = base.partials()[_PARTIAL_INDEX[solved]]
+        self.partial = base.partials()["xyz".index(solved)]
         if not self.partial.is_unit():
             raise ValueError("no chart")
 
@@ -44,31 +44,25 @@ class PolydiskChart:
     def precision(self) -> int:
         return self.base.precision
 
-    def _coord(self, pt: SurfacePoint, name: str) -> PadicInt:
-        return getattr(pt, name)
-
     def xi(self, b1: PadicInt, b2: PadicInt) -> PadicInt:
         """Solved coordinate on the fiber over the base-coordinate pair."""
-        prod = b1 * b2
-        rest = b1 * b1 + b2 * b2 - self.base.D
-        seed = self._coord(self.base, self.solved).truncate(
+        seed = getattr(self.base, self.solved).truncate(
             min(self.precision, b1.precision, b2.precision)
         )
-        return newton_solve([rest, -prod, 1], seed)
+        return solve_fiber(b1, b2, self.base.D, seed)
 
     def psi(self, u: PadicInt, v: PadicInt) -> SurfacePoint:
         """Chart map: (u, v) -> surface point of the polydisk."""
         n1, n2 = self.base_names
-        b1 = self._coord(self.base, n1) + u.mul_p_power(1)
-        b2 = self._coord(self.base, n2) + v.mul_p_power(1)
-        parts = {n1: b1, n2: b2, self.solved: self.xi(b1, b2)}
-        return SurfacePoint(parts["x"], parts["y"], parts["z"], self.base.D)
+        b1 = getattr(self.base, n1) + u.mul_p_power(1)
+        b2 = getattr(self.base, n2) + v.mul_p_power(1)
+        return replace(self.base, **{n1: b1, n2: b2, self.solved: self.xi(b1, b2)})
 
     def psi_inv(self, pt: SurfacePoint) -> tuple[PadicInt, PadicInt]:
         """Chart coordinates of a point of the polydisk (one digit less)."""
         n1, n2 = self.base_names
-        d1 = self._coord(pt, n1) - self._coord(self.base, n1)
-        d2 = self._coord(pt, n2) - self._coord(self.base, n2)
+        d1 = getattr(pt, n1) - getattr(self.base, n1)
+        d2 = getattr(pt, n2) - getattr(self.base, n2)
         if d1.residue % self.prime or d2.residue % self.prime:
             raise ValueError("leaves polydisk")
         return (d1.div_p_power(1), d2.div_p_power(1))
@@ -114,15 +108,14 @@ def recentre(chart: PolydiskChart) -> PolydiskChart:
     """
     p = chart.prime
     n1, n2 = chart.base_names
-    b1 = chart._coord(chart.base, n1)
-    b2 = chart._coord(chart.base, n2)
+    b1 = getattr(chart.base, n1)
+    b2 = getattr(chart.base, n2)
     for b in (b1, b2):
         if b.residue % p in (2, p - 2):
             raise ValueError("border residues +-2 admit no rotation recentring")
     f1 = fixed_point_Tp(b1)
     f2 = fixed_point_Tp(b2)
-    parts = {n1: f1, n2: f2, chart.solved: chart.xi(f1, f2)}
-    centre = SurfacePoint(parts["x"], parts["y"], parts["z"], chart.base.D)
+    centre = replace(chart.base, **{n1: f1, n2: f2, chart.solved: chart.xi(f1, f2)})
     return PolydiskChart(centre, chart.solved)
 
 
@@ -148,19 +141,17 @@ def verify_xi_expansion(chart: PolydiskChart, samples=None) -> dict:
         raise ValueError("precision >= 2 required")
     p, k = chart.prime, chart.precision
     n1, n2 = chart.base_names
-    partials = chart.base.partials()
+    partials = dict(zip("xyz", chart.base.partials()))
     w = chart.partial.invert()
-    s1 = -partials[_PARTIAL_INDEX[n1]] * w
-    s2 = -partials[_PARTIAL_INDEX[n2]] * w
-    c0 = chart._coord(chart.base, chart.solved)
+    s1 = -partials[n1] * w
+    s2 = -partials[n2] * w
+    c0 = getattr(chart.base, chart.solved)
     samples = list(samples) if samples is not None else _default_samples(p, 1, seed=1009 * p)
     failures = []
     for iu, iv in samples:
         u = PadicInt(p, k - 1, iu)
         v = PadicInt(p, k - 1, iv)
-        b1 = chart._coord(chart.base, n1) + u.mul_p_power(1)
-        b2 = chart._coord(chart.base, n2) + v.mul_p_power(1)
-        lhs = chart.xi(b1, b2)
+        lhs = getattr(chart.psi(u, v), chart.solved)
         rhs = c0 + s1 * u.mul_p_power(1) + s2 * v.mul_p_power(1)
         if not lhs.congruent_to(rhs, 2):
             failures.append({"u": iu, "v": iv})
@@ -178,29 +169,29 @@ def _pair_congruent(a, b, level: int) -> bool:
     return a[0].congruent_to(b[0], level) and a[1].congruent_to(b[1], level)
 
 
-def _run_check(chart, word, expected_fn, level, samples):
-    """Evaluate the conjugated word on samples against an expected map."""
+def _run_check(chart, word, expected_fns, level, samples) -> list[dict]:
+    """Evaluate the conjugated word once per sample against each expected map."""
     samples = list(samples)
-    failures = 0
-    first = None
+    failures = [0] * len(expected_fns)
+    first = [None] * len(expected_fns)
     for iu, iv in samples:
         uv = chart.uv(iu, iv)
         got = chart.apply_word_uv(word, uv)
-        want = expected_fn(*uv)
-        if not _pair_congruent(got, want, level):
-            failures += 1
-            if first is None:
-                first = {
-                    "u": iu,
-                    "v": iv,
-                    "got": [g.residue_mod(level) for g in got],
-                    "want": [w.residue_mod(level) for w in want],
-                }
-    return {
-        "passed": failures == 0,
-        "num_samples": len(samples),
-        "first_failure": first,
-    }
+        for i, expected_fn in enumerate(expected_fns):
+            want = expected_fn(*uv)
+            if not _pair_congruent(got, want, level):
+                failures[i] += 1
+                if first[i] is None:
+                    first[i] = {
+                        "u": iu,
+                        "v": iv,
+                        "got": [g.residue_mod(level) for g in got],
+                        "want": [w.residue_mod(level) for w in want],
+                    }
+    return [
+        {"passed": n == 0, "num_samples": len(samples), "first_failure": f}
+        for n, f in zip(failures, first)
+    ]
 
 
 def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str, samples=None) -> dict:
@@ -239,8 +230,8 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str, samples=None)
         if samples is None:
             samples = _default_samples(p, 1, seed=2003 * p)
         report["checks"]["f-mod-p"] = _run_check(
-            chart, word, lambda u, v: (u + dPy, v - dPz), 1, samples
-        )
+            chart, word, [lambda u, v: (u + dPy, v - dPz)], 1, samples
+        )[0]
     elif lemma == "g-and-h":
         if y0.residue % p in (2, p - 2):
             raise ValueError("hypothesis violated: y0 must not be +-2 mod p")
@@ -260,32 +251,28 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str, samples=None)
             samples = _default_samples(p, 2, seed=3001 * p)
         mod_p_samples = [s for s in samples if s[0] < p and s[1] < p] or samples
         report["checks"]["g-mod-p"] = _run_check(
-            chart, g_word, lambda u, v: (u, v + c1 * (u + dy)), 1, mod_p_samples
-        )
+            chart, g_word, [lambda u, v: (u, v + c1 * (u + dy))], 1, mod_p_samples
+        )[0]
         report["checks"]["h-mod-p"] = _run_check(
-            chart, h_word, lambda u, v: (u + c2 * (v + dz), v), 1, mod_p_samples
-        )
-        report["checks"]["gp-mod-p2"] = _run_check(
+            chart, h_word, [lambda u, v: (u + c2 * (v + dz), v)], 1, mod_p_samples
+        )[0]
+        report["checks"]["gp-mod-p2"], z_variant = _run_check(
             chart,
             g_word.power(p),
-            lambda u, v: (u, v + (c1 * (u + dy)).mul_p_power(1)),
+            [
+                lambda u, v: (u, v + (c1 * (u + dy)).mul_p_power(1)),
+                lambda u, v: (u, v + (c1 * (u + dz)).mul_p_power(1)),
+            ],
             2,
             samples,
         )
         report["checks"]["hp-mod-p2"] = _run_check(
             chart,
             h_word.power(p),
-            lambda u, v: (u + (c2 * (v + dz)).mul_p_power(1), v),
+            [lambda u, v: (u + (c2 * (v + dz)).mul_p_power(1), v)],
             2,
             samples,
-        )
-        z_variant = _run_check(
-            chart,
-            g_word.power(p),
-            lambda u, v: (u, v + (c1 * (u + dz)).mul_p_power(1)),
-            2,
-            samples,
-        )
+        )[0]
         report["notes"].append(
             {
                 "gp-constant-term": "asserted y-drift",
@@ -309,7 +296,7 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str, samples=None)
             dot = w2[0] * u + w2[1] * v
             return (u + w1[0] * (dot + dx), v + w1[1] * (dot + dx))
 
-        report["checks"]["f-mod-p"] = _run_check(chart, word, expected, 1, samples)
+        report["checks"]["f-mod-p"] = _run_check(chart, word, [expected], 1, samples)[0]
     else:
         raise ValueError(f"unknown lemma {lemma!r}")
 

@@ -11,7 +11,10 @@ multiplies (y, z) by C(x)^2.
 ``GENERATORS`` is the one definition of the action: each letter's ring
 formula on (x, y, z), with no modulus.  It runs on ``PadicInt`` coordinates
 here and on residues mod p^k in ``census``, which reduces only the
-coordinates a letter rewrites.
+coordinates a letter rewrites.  ``gradient`` (the partials of P),
+``unit_partial`` (the first coordinate whose partial is a unit mod p) and
+``solve_fiber`` (that coordinate by Newton over the other two) are likewise
+the one definition of the smooth fiber.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .padic import PadicInt
+from .padic import PadicInt, newton_solve
 
 GENERATORS = {
     "sx": lambda x, y, z: (y * z - x, y, z),
@@ -44,6 +47,24 @@ def generator_formula(letter: str):
         raise ValueError(f"unknown generator letter {letter!r}") from None
 
 
+def gradient(x, y, z):
+    """(dP/dx, dP/dy, dP/dz) = (2x-yz, 2y-xz, 2z-xy): PadicInt, ints or numpy arrays."""
+    return (x + x - y * z, y + y - x * z, z + z - x * y)
+
+
+def unit_partial(triple, p: int) -> int:
+    """Index of the first partial of P that is a unit mod p at an integer triple."""
+    for i, d in enumerate(gradient(*(int(c) for c in triple))):
+        if d % p:
+            return i
+    raise ValueError("point is singular mod p")
+
+
+def solve_fiber(a: PadicInt, b: PadicInt, D: PadicInt, seed: PadicInt) -> PadicInt:
+    """The root c = seed mod p of c^2 - ab c + (a^2 + b^2 - D), by Newton."""
+    return newton_solve([a * a + b * b - D, -(a * b), 1], seed)
+
+
 @dataclass(frozen=True)
 class SurfacePoint:
     """A triple on the surface, with the parameter D it satisfies."""
@@ -66,8 +87,7 @@ class SurfacePoint:
 
     def partials(self) -> tuple[PadicInt, PadicInt, PadicInt]:
         """(dP/dx, dP/dy, dP/dz) = (2x-yz, 2y-xz, 2z-xy) at the point."""
-        x, y, z = self.x, self.y, self.z
-        return (x + x - y * z, y + y - x * z, z + z - x * y)
+        return gradient(self.x, self.y, self.z)
 
     def validate(self) -> "SurfacePoint":
         """Raise unless the equation and nonsingularity invariants hold."""
@@ -98,8 +118,7 @@ def is_point(triple, D) -> bool:
     x, y, z = triple
     if not eval_P(x, y, z).congruent_to(D):
         return False
-    pt = SurfacePoint(x, y, z, D)
-    return any(d.is_unit() for d in pt.partials())
+    return any(d.is_unit() for d in gradient(x, y, z))
 
 
 def apply_generator(letter: str, pt: SurfacePoint) -> SurfacePoint:
@@ -219,20 +238,10 @@ def lift_point(triple, D, p: int, k: int, solved: str | None = None) -> SurfaceP
     (the first with a unit partial derivative, unless ``solved`` names it)
     is refined by Newton so the equation holds modulo p^k.
     """
-    from .padic import newton_solve
-
     if isinstance(D, int):
         D = PadicInt(p, k, D)
-    x, y, z = (PadicInt(p, k, int(c)) for c in triple)
-    partials = SurfacePoint(x, y, z, D).partials()
-    names = ("x", "y", "z")
-    if solved is None:
-        units = [n for n, d in zip(names, partials) if d.is_unit()]
-        if not units:
-            raise ValueError("point is singular mod p")
-        solved = units[0]
-    coords = {"x": x, "y": y, "z": z}
-    others = [coords[n] for n in names if n != solved]
-    rest = others[0] * others[0] + others[1] * others[1] - D
-    coords[solved] = newton_solve([rest, -others[0] * others[1], 1], coords[solved])
-    return SurfacePoint(coords["x"], coords["y"], coords["z"], D).validate()
+    coords = [PadicInt(p, k, int(c)) for c in triple]
+    i = unit_partial(triple, p) if solved is None else ("x", "y", "z").index(solved)
+    seed = coords.pop(i)
+    coords.insert(i, solve_fiber(*coords, D, seed))
+    return SurfacePoint(*coords, D).validate()

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from markoff_padic import census
 from markoff_padic.census import (
     _bfs_exact,
     _decode,
@@ -152,6 +153,44 @@ def test_code_range_guard():
     assert 127**3 < 2**21
     with pytest.raises(ValueError, match="budget exceeded"):
         enumerate_points(127, 3, 0, max_mem=10**6)
+
+
+def test_brute_pool_bounded_by_cores_and_budget_per_process(monkeypatch):
+    # a fake pool records its size and maps in-process, so no process starts
+    pools = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            self.size = max_workers
+            self.shards = 0
+
+        def __enter__(self):
+            pools.append(self)
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shards):
+            shards = list(shards)
+            self.shards = len(shards)
+            return map(fn, shards)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+    ref = enumerate_points(5, 1, 0, workers=1)
+    assert pools == []
+    got = enumerate_points(5, 1, 0, workers=100_000)
+    assert (pools[-1].size, pools[-1].shards) == (4, 5)  # 5 shards, one per x
+    assert np.array_equal(got, ref)
+    enumerate_points(5, 1, 0, workers=3)
+    assert (pools[-1].size, pools[-1].shards) == (3, 3)
+    # each of the 4 processes holds 8 * M^2 * 4 = 800 bytes of scan arrays
+    enumerate_points(5, 1, 0, workers=100_000, max_mem=3200)
+    with pytest.raises(ValueError, match="needs ~3200 bytes"):
+        enumerate_points(5, 1, 0, workers=100_000, max_mem=3199)
+    assert len(pools) == 3
+    enumerate_points(5, 1, 0, workers=1, max_mem=800)
 
 
 def test_budget_errors():

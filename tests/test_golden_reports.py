@@ -1,0 +1,39 @@
+"""CLI reports pinned byte for byte by their sha256 digests.
+
+A refactoring must leave every digest in place.  Configs shared with the
+benchmark carry the same digests as ``perfbench/goldens.json``.
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from markoff_padic.cli import main
+
+GOLDEN = {
+    "certify --p 5 --d 3": "537d3e86af8337e5f2944727a56cda0e2c5e6544d2d495b16d76ff886d9406f3",
+    "certify --p 7 --k 3 --d 0": "8fb1e14c4c1308c19d5da810e65defe74ea8ef0d97d7fd93f03cc10dc44b3ccc",
+    "certify --p 7 --k 3 --d 49": "45074ab7c830dcde43080aab9662b6b915de5186f71c936a4dc20b92c94eacdf",
+    "certify --k 3 --p 13": "7e5d5366fb09094cc0436f55b92cc74b10d071e14b9934605e7d71855cf85524",
+    "xd-check --p 7 --d 3": "04c9861c87832db103f27ac5bb2a423c51580511dc11806706547bf48b3760b4",
+    "xd-check --p 13 --d 1": "36f0733cf3d07ff6d3d554d05d1c68b82ce97a2f7623893111c7c7f11739767e",
+    "expansions --p 7": "c9854dc26c0b013ed3d6751fddd88217b8b8bcc27e81815e7416dbe13c5eb354",
+    "expansions --p 5 --d 3": "1e254b2b788398a2fbe1bf7866310102959d2effd37dec7fe16bba9b43ae523c",
+    "orbits --gens aut --p 7 --k 2": "2ffa2601235b54955777e0a6c08070134dc8bb2ce599f7b738e7f8ca7a201912",
+    "orbits --gens gamma --d 4 --p 11 --k 2": "d00c7247c27bb685b37cec62bcb2439d6d185dd183bd2a5a6d1874dc1b4b3e1c",
+    "census --p 13 --k 2": "1a2ce95b090026e8c9e408802512f11b3462bfbb10946788c130162e5a7bbcf0",
+    "catalog --p 7 --k 4 --case D2": "f34a93dc65f48e157a7b15f158309f10e333896ea10441ad66b01fc76673acb7",
+    "flow-check --p 7": "9e532d033fdc078e346a4c6cf3a1498d108c97166ea09bc19912b6e48c76a62b",
+    "identities --p 7": "95b8c350e2b067d1ee6844ffe5c05da0526eb74a8e42e06cfaba88722cc9f700",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_report_matches_golden_digest(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(command.split())
+    assert status == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[command]

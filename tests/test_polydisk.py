@@ -7,6 +7,8 @@ import pytest
 from markoff_padic.chebyshev import chebyshev_T_at, fixed_point_Tp
 from markoff_padic.padic import PadicInt, sqrt
 from markoff_padic.polydisk import (
+    PolydiskChart,
+    _default_samples,
     parametrize,
     recentre,
     verify_stabilizer_expansions,
@@ -181,6 +183,25 @@ def test_g_and_h_on_uncentred_chart_reports_drift_variant():
     assert rep["passed"]
     note = rep["notes"][0]
     assert note["z-drift-variant-passes"] is False
+
+
+def test_g_and_h_applies_each_word_once_per_sample(monkeypatch):
+    # g^p is checked against the y-drift and the z-drift reading from one image
+    ch = recentre(parametrize(lift_point((1, 4, 1), 0, 7, 4, solved="x"), "x"))
+    apply_word_uv = PolydiskChart.apply_word_uv
+    calls = []
+
+    def counted(self, word, uv):
+        calls.append(len(word))
+        return apply_word_uv(self, word, uv)
+
+    monkeypatch.setattr(PolydiskChart, "apply_word_uv", counted)
+    rep = verify_stabilizer_expansions(ch, "g-and-h")
+    assert rep["passed"]
+    assert list(rep["checks"]) == ["g-mod-p", "h-mod-p", "gp-mod-p2", "hp-mod-p2"]
+    samples = _default_samples(7, 2, seed=3001 * 7)
+    mod_p = [s for s in samples if s[0] < 7 and s[1] < 7]
+    assert len(calls) == 2 * len(mod_p) + 2 * len(samples)
 
 
 def test_nonpara_f_expansion():

@@ -2,8 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from markoff_padic.census import _decode, _encode, enumerate_points
 from markoff_padic.chebyshev import companion_power
 from markoff_padic.padic import PadicInt
 from markoff_padic.surface import (
@@ -18,6 +22,7 @@ from markoff_padic.surface import (
     lift_point,
     point,
     reduce_point,
+    unit_partial,
 )
 
 
@@ -171,6 +176,34 @@ def test_lift_point_validates_and_respects_solved():
     assert eval_P(*pt.coords()).residue == 0
     with pytest.raises(ValueError, match="singular"):
         lift_point((0, 0, 0), 0, 7, 2)
+    with pytest.raises(ValueError, match="singular"):
+        unit_partial((0, 0, 0), 7)
+
+
+@st.composite
+def _fiber_cases(draw):
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    k = draw(st.sampled_from((2, 3)))
+    D = draw(st.integers(0, p**k - 1))
+    base = enumerate_points(p, 1, D % p)
+    assume(len(base) > 0)
+    code = base[draw(st.integers(0, len(base) - 1))]
+    return p, k, D, tuple(int(c) for c in _decode(code, p))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_fiber_cases())
+def test_lift_point_lands_in_the_lifted_census(case):
+    # the PadicInt fiber solve lands in the census numpy lift of its fiber
+    p, k, D, t = case
+    pt = lift_point(t, D, p, k)
+    assert pt.residues(1) == t
+    code = _encode(*pt.residues(), p**k)
+    lifted = enumerate_points(p, k, D, mode="lift")
+    i = np.searchsorted(lifted, code)
+    assert i < len(lifted) and lifted[i] == code
+    units = [j for j, d in enumerate(pt.partials()) if d.is_unit()]
+    assert unit_partial(t, p) == units[0]
 
 
 def test_generator_orders():
