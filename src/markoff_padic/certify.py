@@ -1,11 +1,14 @@
 """End-to-end certification that a level-1 polydisk is minimal.
 
-The pipeline assembles, for an admissible (p, K, D): a base point whose
-polydisk supports the analysis, a chart recentred at T_p-fixed coordinates,
-a strict move (a Vieta word displacing the base point by exactly p^{-1}),
-residual transitivity of the conjugated stabilizer generators on (Z/p)^2,
-and a unit minimal-subdisk determinant.  Certificates are deterministic
-and replayable: re-running the pipeline on the recorded parameters must
+`certification_route` refuses parameters outside the theorem and names the
+route of an admissible (p, K, D).  The certificate is then built in four
+stages: a base point whose polydisk supports the analysis with its chart
+recentred at T_p-fixed coordinates (`base_point_chart`), a strict move (a
+Vieta word displacing the base point by exactly p^{-1}), residual
+transitivity of the conjugated stabilizer generators on (Z/p)^2, and a unit
+minimal-subdisk determinant.  The first stage that fails is recorded as
+"stage: reason" and ends the run.  Certificates are deterministic and
+replayable: re-running the pipeline on the recorded parameters must
 reproduce every recorded value.
 """
 
@@ -185,22 +188,28 @@ def residual_transitivity(chart: PolydiskChart, gens, extra=None) -> dict:
     }
 
 
-def _certificate_skeleton(p, k, D, budget):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "p": p,
-        "K": k,
-        "D": D.residue,
-        "budget_words": budget,
-        "route": None,
-        "base_point": None,
-        "chart": None,
-        "strict_move": None,
-        "residual_transitivity": None,
-        "minimal_subdisk": None,
-        "stage_failures": [],
-        "overall": False,
-    }
+def certification_route(p: int, k: int, D) -> str:
+    """Check that (p, K, D) is admissible and name its certification route.
+
+    Admissible: p > 3, K >= 3, and either D = 0 mod p^2 ("arbitrary-point")
+    or (D-4) a nonzero quadratic residue mod p ("special-point"); p = 5 with
+    D = 3 mod 5 takes the "exceptional-p5" route.  Anything else raises.
+    """
+    if p <= 3:
+        raise ValueError("certification requires p > 3")
+    if k < 3:
+        raise ValueError("precision >= 3 required")
+    D = _coerce_D(D, p, k)
+    if p == 5 and D.residue_mod(1) == 3:
+        return "exceptional-p5"
+    if legendre(D - 4) == 1:
+        return "special-point"
+    if D.residue_mod(2) == 0:
+        return "arbitrary-point"
+    raise ValueError(
+        "certification hypotheses fail: need D = 0 mod p^2 or (D-4) a "
+        "nonzero quadratic residue mod p"
+    )
 
 
 def _pick_arbitrary_base(p: int, D: PadicInt, k: int):
@@ -220,145 +229,131 @@ def _pick_arbitrary_base(p: int, D: PadicInt, k: int):
     return lift_point(triple, D, p, k, solved="x"), perm
 
 
+def base_point_chart(p: int, k: int, D, route: str):
+    """The base_point and chart fragments of the certificate, and the chart."""
+    D = _coerce_D(D, p, k)
+    if route == "arbitrary-point":
+        base, perm = _pick_arbitrary_base(p, D, k)
+    else:
+        base, perm = find_special_point(p, D, k), None
+    chart = parametrize(base, "x")
+    if route != "exceptional-p5":  # there (2, 0) are exact fixed points of T_5
+        chart = recentre(chart)
+    base_point = {
+        "original": list(base.residues()),
+        "permutation": perm,
+        "recentred": list(chart.base.residues()),
+    }
+    fragment = {"solved": chart.solved, "partial_mod_p": chart.partial.residue_mod(1)}
+    return base_point, fragment, chart
+
+
+def _stabilizers(chart: PolydiskChart, route: str, optimize_exponent: bool):
+    """Stabilizer words of the chart polydisk and their powers g, h.
+
+    The exceptional route uses three fixed words and reports no powers.
+    """
+    p = chart.prime
+    n = (p * p - 1) // 2
+    if route == "exceptional-p5":
+        gens = [
+            AutWord(("sy", "sz")).power(p),
+            AutWord(("sz", "sx")).power(p),
+            AutWord(("sx", "sy")).power(n // 2),
+        ]
+        return gens, None
+    m_g = m_h = n // 2
+    if optimize_exponent:
+        r_y = rotation_order(chart.base.y)
+        r_z = rotation_order(chart.base.z)
+        m_g = r_y if r_y % 2 else r_y // 2
+        m_h = r_z if r_z % 2 else r_z // 2
+    gens = [AutWord(("sz", "sx")).power(m_g), AutWord(("sx", "sy")).power(m_h)]
+    return gens, {"g": m_g, "h": m_h}
+
+
+def _minimal_subdisk(chart: PolydiskChart, route: str, powers) -> dict:
+    """The minimal-subdisk determinant of the p-th stabilizer powers."""
+    p, k = chart.prime, chart.precision
+    n = (p * p - 1) // 2
+    if route == "exceptional-p5":
+        z0 = chart.base.z
+        c2 = (chart.partial * n) * (z0 * z0 - 4).invert()
+        A = Mat2(PadicInt(p, k, 1), c2, PadicInt(p, k, 0), PadicInt(p, k, 1))
+        f_map = chart.point_map(AutWord(("sz", "sx")).power(p * p))
+        g_map = chart.point_map(
+            AutWord(("sx", "sy")).power(n // 2),
+            kind="affine",
+            A=A,
+            b=(PadicInt(p, k, 0), PadicInt(p, k, 0)),
+        )
+        witness = (0, 0)
+        det, unit = twisted_minimality_det(f_map, g_map, chart.uv(*witness))
+        method = "twisted"
+    else:
+        f_map = chart.point_map(AutWord(("sz", "sx")).power(p * powers["g"]))
+        g_map = chart.point_map(AutWord(("sx", "sy")).power(p * powers["h"]))
+        witness = (1, 1)
+        det, unit = local_minimality_det(f_map, g_map, chart.uv(*witness))
+        method = "direct"
+    return {
+        "witness": list(witness),
+        "method": method,
+        "det": det.residue,
+        "det_precision": det.precision,
+        "unit": unit,
+    }
+
+
 def certify_minimal_polydisk(
     p: int, k: int, D, budget: int = 8, optimize_exponent: bool = False
 ) -> dict:
     """Assemble a minimality certificate for a level-1 polydisk.
 
-    Admissible parameters: p > 3 prime, K >= 3, and either D = 0 mod p^2 or
-    (D-4) a nonzero quadratic residue mod p; p = 5 with D = 3 mod 5 runs
-    the exceptional pipeline.  Returns the certificate dict; any stage
-    failure is recorded under stage_failures with overall = False.
-
-    With optimize_exponent the stabilizer powers use the least admissible
-    exponent derived from the rotation orders of the recentred base
-    coordinates instead of the uniform (p^2-1)/4.
+    On a stage failure the later stages' fragments stay None and overall is
+    False.  With optimize_exponent the stabilizer powers use the least
+    admissible exponent derived from the rotation orders of the recentred
+    base coordinates instead of the uniform (p^2-1)/4.
     """
-    if p <= 3:
-        raise ValueError("certification requires p > 3")
-    if k < 3:
-        raise ValueError("precision >= 3 required")
+    route = certification_route(p, k, D)
     D = _coerce_D(D, p, k)
-    cert = _certificate_skeleton(p, k, D, budget)
-    cert["optimized_exponent"] = bool(optimize_exponent)
-
-    exceptional = p == 5 and D.residue_mod(1) == 3
-    if exceptional:
-        cert["route"] = "exceptional-p5"
-    elif legendre(D - 4) == 1:
-        cert["route"] = "special-point"
-    elif D.residue_mod(2) == 0:
-        cert["route"] = "arbitrary-point"
-    else:
-        raise ValueError(
-            "certification hypotheses fail: need D = 0 mod p^2 or (D-4) a "
-            "nonzero quadratic residue mod p"
-        )
-
-    n = (p * p - 1) // 2
-
-    # stage 1-2: base point and chart
+    cert = {
+        "schema_version": SCHEMA_VERSION,
+        "p": p,
+        "K": k,
+        "D": D.residue,
+        "budget_words": budget,
+        "route": route,
+        "base_point": None,
+        "chart": None,
+        "strict_move": None,
+        "residual_transitivity": None,
+        "minimal_subdisk": None,
+        "stage_failures": [],
+        "overall": False,
+        "optimized_exponent": bool(optimize_exponent),
+    }
+    stage = "base-point/chart"
     try:
-        if cert["route"] == "arbitrary-point":
-            base, perm = _pick_arbitrary_base(p, D, k)
-        else:
-            base, perm = find_special_point(p, D, k), None
-        original = base.residues()
-        chart = parametrize(base, "x")
-        if exceptional:
-            centred = chart  # (2, 0) are exact fixed points of T_5
-        else:
-            centred = recentre(chart)
-        cert["base_point"] = {
-            "original": list(original),
-            "permutation": perm,
-            "recentred": list(centred.base.residues()),
-        }
-        cert["chart"] = {
-            "solved": centred.solved,
-            "partial_mod_p": centred.partial.residue_mod(1),
-        }
-    except ValueError as exc:
-        cert["stage_failures"].append(f"base-point/chart: {exc}")
-        return cert
-
-    # stage 3: strict move
-    try:
-        gamma, d = strict_move_search(centred.base, budget)
+        cert["base_point"], cert["chart"], chart = base_point_chart(p, k, D, route)
+        stage = "strict-move"
+        gamma, d = strict_move_search(chart.base, budget)
         cert["strict_move"] = {"word": str(gamma), "dist": str(d)}
-    except ValueError as exc:
-        cert["stage_failures"].append(f"strict-move: {exc}")
-        return cert
-
-    # stage 4-5: residual transitivity
-    try:
-        m_g = m_h = n // 2
-        if optimize_exponent and not exceptional:
-            r_y = rotation_order(centred.base.y)
-            r_z = rotation_order(centred.base.z)
-            m_g = r_y if r_y % 2 else r_y // 2
-            m_h = r_z if r_z % 2 else r_z // 2
-        if exceptional:
-            gens = [
-                AutWord(("sy", "sz")).power(p),
-                AutWord(("sz", "sx")).power(p),
-                AutWord(("sx", "sy")).power(n // 2),
-            ]
-        else:
-            gens = [
-                AutWord(("sz", "sx")).power(m_g),
-                AutWord(("sx", "sy")).power(m_h),
-            ]
-            cert["chart"]["stabilizer_powers"] = {"g": m_g, "h": m_h}
-        rt = residual_transitivity(centred, gens, extra=gamma)
+        stage = "residual-transitivity"
+        gens, powers = _stabilizers(chart, route, optimize_exponent)
+        if powers is not None:
+            cert["chart"]["stabilizer_powers"] = powers
+        rt = residual_transitivity(chart, gens, extra=gamma)
         cert["residual_transitivity"] = rt
         if not rt["transitive"]:
-            cert["stage_failures"].append("residual-transitivity: not transitive")
-            return cert
+            raise ValueError("not transitive")
+        stage = "minimal-subdisk"
+        cert["minimal_subdisk"] = _minimal_subdisk(chart, route, powers)
+        if not cert["minimal_subdisk"]["unit"]:
+            raise ValueError("determinant not a unit")
     except ValueError as exc:
-        cert["stage_failures"].append(f"residual-transitivity: {exc}")
+        cert["stage_failures"].append(f"{stage}: {exc}")
         return cert
-
-    # stage 6: minimal subdisk determinant
-    try:
-        if exceptional:
-            z0 = centred.base.z
-            c2 = (centred.partial * n) * (z0 * z0 - 4).invert()
-            A = Mat2(
-                PadicInt(p, k, 1), c2, PadicInt(p, k, 0), PadicInt(p, k, 1)
-            )
-            f_map = centred.point_map(AutWord(("sz", "sx")).power(p * p))
-            g_map = centred.point_map(
-                AutWord(("sx", "sy")).power(n // 2),
-                kind="affine",
-                A=A,
-                b=(PadicInt(p, k, 0), PadicInt(p, k, 0)),
-            )
-            witness = (0, 0)
-            det, unit = twisted_minimality_det(
-                f_map, g_map, centred.uv(*witness)
-            )
-            method = "twisted"
-        else:
-            f_map = centred.point_map(AutWord(("sz", "sx")).power(p * m_g))
-            g_map = centred.point_map(AutWord(("sx", "sy")).power(p * m_h))
-            witness = (1, 1)
-            det, unit = local_minimality_det(f_map, g_map, centred.uv(*witness))
-            method = "direct"
-        cert["minimal_subdisk"] = {
-            "witness": list(witness),
-            "method": method,
-            "det": det.residue,
-            "det_precision": det.precision,
-            "unit": unit,
-        }
-        if not unit:
-            cert["stage_failures"].append("minimal-subdisk: determinant not a unit")
-            return cert
-    except ValueError as exc:
-        cert["stage_failures"].append(f"minimal-subdisk: {exc}")
-        return cert
-
     cert["overall"] = True
     return cert
 

@@ -363,8 +363,12 @@ def verify_companion_estimates(x0: PadicInt, sample_us) -> dict:
       C(x0+pu)^{2p}   = I + p   [[2,-x0],[x0,-2]]                      mod p^2
       C(x0+pu)^{2p^2} = I + p^2 [[2,-x0],[x0,-2]]                      mod p^3
     Every sampled u is tested; the report carries per-sample verdicts.
+    The estimates need p > 3: the expansion of C(x0+pu)^{2p} carries
+    comb(2p+2, 3)*pu, whose /6 loses the factor 3 at p = 3.
     """
     p, k = x0.prime, x0.precision
+    if p <= 3:
+        raise ValueError("companion estimates require p > 3")
     if k < 3:
         raise ValueError("precision >= 3 required")
     n_half = (p * p - 1) // 2

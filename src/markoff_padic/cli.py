@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import re
 import sys
 
 from . import census, certify, chebyshev, flow, polydisk
 from .padic import PadicInt, sqrt
-from .surface import ALL_LETTERS, lift_point
+from .surface import ALL_LETTERS
 
 _D_PATTERN = re.compile(
     r"^\(?\s*(-?\d+)\s*([+-])\s*(?:(\d+)\s*\*\s*)?sqrt\(\s*(-?\d+)\s*\)\s*\)?"
@@ -111,8 +112,6 @@ def _identity_bases(p: int, per_class: int = 10):
 
 def cmd_identities(args) -> dict:
     p, k = args.p, max(args.k, 3)
-    import random
-
     suites = {"power_sum": chebyshev.verify_power_sum_identity(p, k)}
     rng = random.Random(711 * p)
     us = list(range(p)) + [rng.randrange(p * p) for _ in range(20)]
@@ -161,8 +160,6 @@ def cmd_flow_check(args) -> dict:
             it = f(it)
         if not (flowed[0].congruent_to(it[0], 3) and flowed[1].congruent_to(it[1], 3)):
             iteration_ok = False
-    import random
-
     rng = random.Random(599 * p)
     samples = [(rng.randrange(p**2), w) for _ in range(20)]
     additivity = [
@@ -183,11 +180,9 @@ def cmd_flow_check(args) -> dict:
 def cmd_expansions(args) -> dict:
     p, k = args.p, max(args.k, 3)
     d = parse_parameter(args.d, p, k)
-    cert = certify.certify_minimal_polydisk(p, k, d, budget=args.budget_words)
-    if cert["base_point"] is None:
-        raise ValueError("could not build a chart: " + "; ".join(cert["stage_failures"]))
-    base = lift_point(cert["base_point"]["recentred"], d, p, k, solved="x")
-    chart = polydisk.parametrize(base, "x")
+    route = certify.certification_route(p, k, d)
+    _, _, chart = certify.base_point_chart(p, k, d, route)
+    base = chart.base
     suites = {"xi_expansion": polydisk.verify_xi_expansion(chart)}
     x0 = base.x.residue_mod(1)
     if x0 in (2, p - 2):

@@ -1,5 +1,6 @@
 """Certification pipeline: special points, strict moves, certificates, XD."""
 
+import numpy as np
 import pytest
 
 from markoff_padic.certify import (
@@ -263,3 +264,65 @@ def test_check_XD_refuses_a_start_off_the_surface():
     # (0, 0, 0) lies on X_0 but is singular mod p
     with pytest.raises(ValueError, match=r"start \(0, 0, 0\)"):
         check_XD(7, 3, 0, start=(0, 0, 0))
+
+
+_FRAGMENTS = ("base_point", "chart", "strict_move", "residual_transitivity", "minimal_subdisk")
+
+
+def _raising(message):
+    def fake(*args, **kwargs):
+        raise ValueError(message)
+
+    return fake
+
+
+def _not_transitive(chart, gens, extra=None):
+    return {"transitive": False, "orbit_sizes": [1, 48], "generators": []}
+
+
+def _non_unit_det(f_map, g_map, point):
+    return PadicInt(13, 2, 13), False
+
+
+@pytest.mark.parametrize(
+    "module,name,fake,params,failures,recorded",
+    [
+        ("certify", "find_special_point", _raising("no special point recipe"), (13, 3, 0),
+         ["base-point/chart: no special point recipe"], []),
+        ("census", "enumerate_points", lambda *a, **kw: np.zeros(0, dtype=np.int64), (7, 3, 0),
+         ["base-point/chart: no points mod p"], []),
+        ("certify", "strict_move_search", _raising("no strict move found"), (13, 3, 0),
+         ["strict-move: no strict move found"], ["base_point", "chart"]),
+        ("certify", "residual_transitivity", _raising("leaves polydisk"), (13, 3, 0),
+         ["residual-transitivity: leaves polydisk"], ["base_point", "chart", "strict_move"]),
+        ("certify", "residual_transitivity", _not_transitive, (13, 3, 0),
+         ["residual-transitivity: not transitive"],
+         ["base_point", "chart", "strict_move", "residual_transitivity"]),
+        ("certify", "local_minimality_det", _non_unit_det, (13, 3, 0),
+         ["minimal-subdisk: determinant not a unit"], list(_FRAGMENTS)),
+        ("certify", "twisted_minimality_det", _raising("twisted map is not affine mod p"),
+         (5, 3, 3), ["minimal-subdisk: twisted map is not affine mod p"],
+         ["base_point", "chart", "strict_move", "residual_transitivity"]),
+    ],
+    ids=["special-point", "no-points", "strict-move", "rt-raises", "rt-not-transitive",
+         "det-non-unit", "twisted-raises"],
+)
+def test_stage_failure_is_recorded_and_stops_the_pipeline(
+    monkeypatch, module, name, fake, params, failures, recorded
+):
+    from markoff_padic import census, certify
+
+    monkeypatch.setattr({"certify": certify, "census": census}[module], name, fake)
+    cert = certify_minimal_polydisk(*params)
+    assert cert["stage_failures"] == failures
+    assert cert["overall"] is False
+    assert [f for f in _FRAGMENTS if cert[f] is not None] == recorded
+    if cert["strict_move"] is not None and params == (13, 3, 0):
+        # the stabilizer powers are chosen before the transitivity check runs
+        assert cert["chart"]["stabilizer_powers"] == {"g": 42, "h": 42}
+    if fake is _not_transitive:
+        assert cert["residual_transitivity"] == _not_transitive(None, [])
+    if fake is _non_unit_det:
+        assert cert["minimal_subdisk"] == {
+            "witness": [1, 1], "method": "direct", "det": 13, "det_precision": 2, "unit": False,
+        }

@@ -251,3 +251,6 @@ def test_companion_estimates_sampled():
 def test_companion_estimates_precision_guard():
     with pytest.raises(ValueError, match="precision"):
         verify_companion_estimates(PadicInt(5, 2, 1), [0])
+    # at p = 3 the parabolic estimate fails, so the lemma is refused there
+    with pytest.raises(ValueError, match="p > 3"):
+        verify_companion_estimates(PadicInt(3, 3, 2), [0])

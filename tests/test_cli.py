@@ -44,6 +44,11 @@ def test_hypothesis_violations_exit_2(capsys):
     # D = 7: neither 0 mod p^2 nor (D-4) a QR, so certify refuses the config
     code = main(["certify", "--p", "7", "--k", "3", "--d", "7"])
     assert code == 2
+    # expansions builds its chart on the same admissible parameters
+    assert main(["expansions", "--p", "7", "--d", "7"]) == 2
+    assert main(["expansions", "--p", "3"]) == 2
+    # the companion estimates need p > 3
+    assert main(["identities", "--p", "3"]) == 2
     capsys.readouterr()
 
 
@@ -64,6 +69,18 @@ def test_mathematical_failure_exit_1(capsys, monkeypatch):
     code = main(["census", "--p", "7", "--k", "1", "--d", "0"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_certificate_stage_failure_exit_1(capsys, monkeypatch):
+    from markoff_padic import certify
+
+    def no_move(pt, budget=8):
+        raise ValueError("no strict move found")
+
+    monkeypatch.setattr(certify, "strict_move_search", no_move)
+    code, rep = _run(capsys, "certify", "--p", "13")
+    assert code == 1
+    assert rep["result"]["stage_failures"] == ["strict-move: no strict move found"]
 
 
 def test_report_written_to_file_and_deterministic(tmp_path, capsys):

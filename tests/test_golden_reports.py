@@ -20,6 +20,7 @@ GOLDEN = {
     "xd-check --p 7 --d 3": "04c9861c87832db103f27ac5bb2a423c51580511dc11806706547bf48b3760b4",
     "xd-check --p 13 --d 1": "36f0733cf3d07ff6d3d554d05d1c68b82ce97a2f7623893111c7c7f11739767e",
     "expansions --p 7": "c9854dc26c0b013ed3d6751fddd88217b8b8bcc27e81815e7416dbe13c5eb354",
+    "expansions --p 13": "06898996a755d57fce80061b27f89e571b86b86346e25ecb04d5525619aa8c65",
     "expansions --p 5 --d 3": "1e254b2b788398a2fbe1bf7866310102959d2effd37dec7fe16bba9b43ae523c",
     "orbits --gens aut --p 7 --k 2": "2ffa2601235b54955777e0a6c08070134dc8bb2ce599f7b738e7f8ca7a201912",
     "orbits --gens gamma --d 4 --p 11 --k 2": "d00c7247c27bb685b37cec62bcb2439d6d185dd183bd2a5a6d1874dc1b4b3e1c",
