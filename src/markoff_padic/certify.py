@@ -5,9 +5,10 @@ route of an admissible (p, K, D).  The certificate is then built in four
 stages: a base point whose polydisk supports the analysis with its chart
 recentred at T_p-fixed coordinates (`base_point_chart`), a strict move (a
 Vieta word displacing the base point by exactly p^{-1}), residual
-transitivity of the conjugated stabilizer generators on (Z/p)^2, and a unit
-minimal-subdisk determinant.  The first stage that fails is recorded as
-"stage: reason" and ends the run.  Certificates are deterministic and
+transitivity (a census orbit count of the stabilizers and the strict move on
+the polydisk mod p^2, the smooth fiber of p^2 points over the base), and a
+unit minimal-subdisk determinant.  The first stage that fails is recorded
+as "stage: reason" and ends the run.  Certificates are deterministic and
 replayable: re-running the pipeline on the recorded parameters must
 reproduce every recorded value.
 """
@@ -159,31 +160,31 @@ def strict_move_search(pt: SurfacePoint, budget: int = 8):
 
 
 def residual_transitivity(chart: PolydiskChart, gens, extra=None) -> dict:
-    """BFS the mod-p action of conjugated words on the p^2 chart residues.
+    """Census orbit count of the words on the chart polydisk mod p^2.
 
-    Every word must stabilize the chart polydisk.  The report carries the
-    full orbit partition sizes; the verdict is a single orbit.
+    The polydisk mod p^2 is the smooth fiber of p^2 points over the base
+    (``census._lift_all``); every word must map it to itself.  The report
+    carries the orbit sizes; the verdict is a single orbit.
     """
     p = chart.prime
+    M = census._code_modulus(p, 2)
+    base = census._encode(*chart.base.residues(1), p)
+    disk = census._lift_all([base], p, 2, chart.base.D.residue_mod(2))
     words = list(gens) + ([extra] if extra is not None else [])
     maps = []
     for word in words:
-        table = np.zeros(p * p, dtype=np.int64)
-        for iu in range(p):
-            for iv in range(p):
-                ju, jv = chart.apply_word_uv(word, chart.uv(iu, iv, level=1))
-                table[iu * p + iv] = (ju.residue % p) * p + (jv.residue % p)
-        maps.append(table.__getitem__)
-    residues = np.arange(p * p, dtype=np.int64)
-    seen = np.zeros(p * p, dtype=bool)
-    orbit_sizes = [
-        census._expand_orbit(residues, maps, seed, seen)
-        for seed in range(p * p)
-        if not seen[seed]
-    ]
+        coords = census._decode(disk, M)
+        for g in reversed(word.letters):
+            coords = census._residue_action(g, M)(*coords)
+        image = census._encode(*coords, M)
+        # an index past the end wraps to disk[0], which is below such an image
+        if np.any(disk[np.searchsorted(disk, image) % disk.size] != image):
+            raise ValueError("leaves polydisk")
+        maps.append(lambda codes, image=image: image[np.searchsorted(disk, codes)])
+    part = census.orbits(p, 2, chart.base.D, points=disk, maps=maps)
     return {
-        "transitive": len(orbit_sizes) == 1,
-        "orbit_sizes": sorted(orbit_sizes),
+        "transitive": part.transitive,
+        "orbit_sizes": sorted(part.orbit_sizes),
         "generators": [str(w) for w in words],
     }
 
@@ -191,7 +192,8 @@ def residual_transitivity(chart: PolydiskChart, gens, extra=None) -> dict:
 def certification_route(p: int, k: int, D) -> str:
     """Check that (p, K, D) is admissible and name its certification route.
 
-    Admissible: p > 3, K >= 3, and either D = 0 mod p^2 ("arbitrary-point")
+    Admissible: p > 3, K >= 3, p^2 < 2^21 (residual transitivity codes
+    points mod p^2 in int64), and either D = 0 mod p^2 ("arbitrary-point")
     or (D-4) a nonzero quadratic residue mod p ("special-point"); p = 5 with
     D = 3 mod 5 takes the "exceptional-p5" route.  Anything else raises.
     """
@@ -199,6 +201,7 @@ def certification_route(p: int, k: int, D) -> str:
         raise ValueError("certification requires p > 3")
     if k < 3:
         raise ValueError("precision >= 3 required")
+    census._code_modulus(p, 2)
     D = _coerce_D(D, p, k)
     if p == 5 and D.residue_mod(1) == 3:
         return "exceptional-p5"
@@ -398,7 +401,10 @@ def check_XD(p: int, k: int, D, budget: int = 8, start=None) -> dict:
     else:
         x, y, z = census._decode(census.enumerate_points(p, 1, D.residue_mod(1)), p)
         starts = list(zip(x.tolist(), y.tolist(), z.tolist()))
-    hypotheses_hold = D.residue_mod(2) == 0 or legendre(D - 4) == 1
+    try:
+        hypotheses_hold = bool(certification_route(p, k, D))
+    except ValueError:
+        hypotheses_hold = False
     scanned = 0
     seen = set()
     for root in starts:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .padic import PadicInt
+from .padic import PadicInt, poly_eval
 
 DEGREE_CAP = 10_000
 
@@ -90,10 +90,7 @@ class DensePoly:
         return self._new((0,) + self.coeffs)
 
     def __call__(self, x: PadicInt) -> PadicInt:
-        acc = PadicInt(x.prime, x.precision, 0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return poly_eval(self.coeffs, x)
 
 
 @dataclass(frozen=True)

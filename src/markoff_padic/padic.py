@@ -228,17 +228,10 @@ def sqrt(a: PadicInt) -> PadicInt:
     """
     if legendre(a) != 1:
         raise ValueError("no square root")
-    p, pk = a.prime, a.modulus
-    r = _sqrt_mod_p(a.residue % p, p)
-    # Hensel steps for x^2 - a, derivative 2x is a unit.
-    k = 1
-    while k < a.precision:
-        k = min(2 * k, a.precision)
-        mod = p**k
-        r = (r - (r * r - a.residue) * pow(2 * r, -1, mod)) % mod
-    if r % p > (p - 1) // 2:
-        r = pk - r
-    return PadicInt(p, a.precision, r)
+    p = a.prime
+    r0 = PadicInt(p, a.precision, _sqrt_mod_p(a.residue % p, p))
+    r = newton_solve([-a, 0, 1], r0)
+    return -r if r.residue % p > (p - 1) // 2 else r
 
 
 def poly_eval(coeffs, x: PadicInt) -> PadicInt:

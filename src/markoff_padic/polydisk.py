@@ -88,9 +88,9 @@ class PolydiskChart:
             max_precision=self.precision - 1,
         )
 
-    def uv(self, u: int, v: int, level: int | None = None) -> tuple[PadicInt, PadicInt]:
+    def uv(self, u: int, v: int) -> tuple[PadicInt, PadicInt]:
         """Integer residues as chart coordinates at the working precision."""
-        k = level if level is not None else self.precision - 1
+        k = self.precision - 1
         return (PadicInt(self.prime, k, u), PadicInt(self.prime, k, v))
 
 

@@ -1,10 +1,15 @@
 """Certification pipeline: special points, strict moves, certificates, XD."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from markoff_padic.certify import (
     certificate_json,
+    certification_route,
     certify_minimal_polydisk,
     check_XD,
     find_special_point,
@@ -12,10 +17,10 @@ from markoff_padic.certify import (
     residual_transitivity,
     strict_move_search,
 )
-from markoff_padic.census import check_transitivity
+from markoff_padic.census import _decode, check_transitivity, enumerate_points
 from markoff_padic.padic import PadicInt, legendre
 from markoff_padic.polydisk import parametrize, recentre
-from markoff_padic.surface import AutWord, apply_word, dist, lift_point
+from markoff_padic.surface import VIETA_LETTERS, AutWord, apply_word, dist, lift_point
 
 
 def test_special_point_p13_D0():
@@ -115,6 +120,76 @@ def test_residual_transitivity_rejects_non_stabilizers():
         residual_transitivity(ch, [AutWord(("sx",))])
 
 
+def _reference_orbit_sizes(chart, words):
+    """Orbit sizes of the words' PadicInt chart tables on the residues mod p."""
+    p = chart.prime
+    parent = {(u, v): (u, v) for u in range(p) for v in range(p)}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for w in words:
+        for u, v in list(parent):
+            image = tuple(c.residue % p for c in chart.apply_word_uv(w, chart.uv(u, v)))
+            parent[find((u, v))] = find(image)
+    return sorted(Counter(find(a) for a in parent).values())
+
+
+@st.composite
+def _transitivity_cases(draw):
+    p = draw(st.sampled_from((5, 7, 11)))
+    D = draw(st.integers(0, p**3 - 1))
+    base = enumerate_points(p, 1, D % p)
+    assume(len(base) > 0)
+    t = tuple(int(c) for c in _decode(base[draw(st.integers(0, len(base) - 1))], p))
+    pt = lift_point(t, D, p, 3)
+    units = [n for n, d in zip("xyz", pt.partials()) if d.is_unit()]
+    chart = parametrize(pt, draw(st.sampled_from(units)))
+    if draw(st.booleans()) and all(
+        getattr(pt, n).residue % p not in (2, p - 2) for n in chart.base_names
+    ):
+        chart = recentre(chart)
+
+    def stabilizer_candidate():
+        # pair powers that fix the polydisk when the fixed coordinate is
+        # away from +-2 (m a multiple of (p^2-1)/4) or at +-2 (m a multiple
+        # of p), and their Vieta conjugates; uniform words almost always leave
+        m = draw(st.sampled_from(((p * p - 1) // 4, p))) * draw(st.sampled_from((1, 2, -1)))
+        pair = draw(st.sampled_from((("sy", "sz"), ("sz", "sx"), ("sx", "sy"))))
+        alpha = AutWord(draw(st.sampled_from([()] + [(g,) for g in VIETA_LETTERS])))
+        return alpha.inverse() * AutWord(pair).power(m) * alpha
+
+    words = [stabilizer_candidate() for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        # a strict move translates the residues, which makes most draws transitive
+        try:
+            words.append(strict_move_search(chart.base)[0])
+        except ValueError:  # none within the collision search's budget
+            pass
+    return chart, words
+
+
+@settings(max_examples=60, deadline=None)
+@given(_transitivity_cases())
+def test_residual_transitivity_matches_the_chart_table(case):
+    # the census orbit count on the fiber mod p^2 against the per-point
+    # PadicInt table of the conjugated action on chart residues mod p
+    chart, words = case
+    try:
+        want = _reference_orbit_sizes(chart, words)
+    except ValueError as exc:
+        assert "leaves polydisk" in str(exc)
+        with pytest.raises(ValueError, match="leaves polydisk"):
+            residual_transitivity(chart, words[:-1], extra=words[-1])
+        return
+    rep = residual_transitivity(chart, words[:-1], extra=words[-1])
+    assert rep["orbit_sizes"] == want
+    assert rep["transitive"] == (want == [chart.prime**2])
+    assert rep["generators"] == [str(w) for w in words]
+
+
 @pytest.mark.parametrize("p,k,D", [(7, 3, 0), (11, 3, 0), (13, 3, 0), (5, 3, 3)])
 def test_certificates_pass_and_replay(p, k, D):
     cert = certify_minimal_polydisk(p, k, D)
@@ -161,6 +236,10 @@ def test_certificate_rejects_bad_parameters():
     with pytest.raises(ValueError, match="hypotheses"):
         certify_minimal_polydisk(7, 3, 7)  # D = 0 mod p but not mod p^2, -4+7=3 non-QR
     assert legendre(PadicInt(7, 1, 3)) == -1
+    # point codes mod p^2 must fit in int64: p^2 < 2^21, checked before any stage
+    assert certification_route(1447, 3, 0) == "arbitrary-point"
+    with pytest.raises(ValueError, match="int64"):
+        certification_route(1451, 3, 0)
 
 
 def test_certified_det_matches_c1c2uv():
@@ -213,6 +292,21 @@ def test_check_XD_exploratory_report_fields():
     rep = check_XD(7, 3, 2, budget=3)
     assert "found" in rep and "scanned" in rep
     assert not rep["certify_hypotheses_hold"]  # D=2: -2 mod 7 = 5, non-QR
+
+
+def test_check_XD_hypotheses_are_the_certification_route():
+    # admissibility has one definition: p = 3 is refused by certify, so
+    # xd-check must not report its hypotheses as holding
+    for p in (3, 5, 7):
+        for D in range(p * p):
+            try:
+                admissible = bool(certification_route(p, 3, D))
+            except ValueError:
+                admissible = False
+            rep = check_XD(p, 3, D, budget=1)
+            assert rep["certify_hypotheses_hold"] == admissible, (p, D)
+    # (D-4) = 1 is a nonzero square mod 3, yet certify refuses p = 3
+    assert not check_XD(3, 3, 2, budget=1)["certify_hypotheses_hold"]
 
 
 def test_check_XD_precision_guard():

@@ -50,6 +50,10 @@ def test_hypothesis_violations_exit_2(capsys):
     # the companion estimates need p > 3
     assert main(["identities", "--p", "3"]) == 2
     capsys.readouterr()
+    # p^2 >= 2^21: residual transitivity's point codes would overflow int64,
+    # refused before any stage runs
+    assert main(["certify", "--p", "1451", "--k", "3"]) == 2
+    assert "int64" in capsys.readouterr().err
 
 
 def test_mathematical_failure_exit_1(capsys, monkeypatch):
