@@ -35,12 +35,11 @@ from .surface import (
     is_point,
     lift_point,
     reduce_point,
+    rotation,
     unit_partial,
 )
 
 SCHEMA_VERSION = 1
-
-_PAIR_FIXING = {"x": ("sy", "sz"), "y": ("sz", "sx"), "z": ("sx", "sy")}
 
 
 def _coerce_D(D, p: int, k: int) -> PadicInt:
@@ -86,7 +85,7 @@ def _parab_candidates(pt: SurfacePoint):
     p = pt.prime
     for name, coord in zip("xyz", pt.coords()):
         if coord.residue % p in (2, p - 2):
-            yield AutWord(_PAIR_FIXING[name]).power(p)
+            yield rotation(name, p)
 
 
 def _conjugated_power_candidates(pt: SurfacePoint):
@@ -101,7 +100,7 @@ def _conjugated_power_candidates(pt: SurfacePoint):
         if g != h
     ]
     for name in "xyz":
-        power = AutWord(_PAIR_FIXING[name]).power(n_quarter)
+        power = rotation(name, n_quarter)
         for alpha in conjugators:
             yield alpha.inverse() * power * alpha
 
@@ -159,7 +158,7 @@ def strict_move_search(pt: SurfacePoint, budget: int = 8):
     raise ValueError("no strict move found")
 
 
-def residual_transitivity(chart: PolydiskChart, gens, extra=None) -> dict:
+def residual_transitivity(chart: PolydiskChart, words) -> dict:
     """Census orbit count of the words on the chart polydisk mod p^2.
 
     The polydisk mod p^2 is the smooth fiber of p^2 points over the base
@@ -170,7 +169,6 @@ def residual_transitivity(chart: PolydiskChart, gens, extra=None) -> dict:
     M = census._code_modulus(p, 2)
     base = census._encode(*chart.base.residues(1), p)
     disk = census._lift_all([base], p, 2, chart.base.D.residue_mod(2))
-    words = list(gens) + ([extra] if extra is not None else [])
     maps = []
     for word in words:
         coords = census._decode(disk, M)
@@ -229,7 +227,7 @@ def _pick_arbitrary_base(p: int, D: PadicInt, k: int):
     perm = (None, "pxy", "pzx")[unit_partial(triple, p)]
     if perm is not None:
         triple = generator_formula(perm)(*triple)
-    return lift_point(triple, D, p, k, solved="x"), perm
+    return lift_point(triple, D, p, k), perm
 
 
 def base_point_chart(p: int, k: int, D, route: str):
@@ -239,7 +237,7 @@ def base_point_chart(p: int, k: int, D, route: str):
         base, perm = _pick_arbitrary_base(p, D, k)
     else:
         base, perm = find_special_point(p, D, k), None
-    chart = parametrize(base, "x")
+    chart = parametrize(base)
     if route != "exceptional-p5":  # there (2, 0) are exact fixed points of T_5
         chart = recentre(chart)
     base_point = {
@@ -247,7 +245,7 @@ def base_point_chart(p: int, k: int, D, route: str):
         "permutation": perm,
         "recentred": list(chart.base.residues()),
     }
-    fragment = {"solved": chart.solved, "partial_mod_p": chart.partial.residue_mod(1)}
+    fragment = {"solved": "x", "partial_mod_p": chart.partial.residue_mod(1)}
     return base_point, fragment, chart
 
 
@@ -259,19 +257,14 @@ def _stabilizers(chart: PolydiskChart, route: str, optimize_exponent: bool):
     p = chart.prime
     n = (p * p - 1) // 2
     if route == "exceptional-p5":
-        gens = [
-            AutWord(("sy", "sz")).power(p),
-            AutWord(("sz", "sx")).power(p),
-            AutWord(("sx", "sy")).power(n // 2),
-        ]
-        return gens, None
+        return [rotation("x", p), rotation("y", p), rotation("z", n // 2)], None
     m_g = m_h = n // 2
     if optimize_exponent:
         r_y = rotation_order(chart.base.y)
         r_z = rotation_order(chart.base.z)
         m_g = r_y if r_y % 2 else r_y // 2
         m_h = r_z if r_z % 2 else r_z // 2
-    gens = [AutWord(("sz", "sx")).power(m_g), AutWord(("sx", "sy")).power(m_h)]
+    gens = [rotation("y", m_g), rotation("z", m_h)]
     return gens, {"g": m_g, "h": m_h}
 
 
@@ -283,9 +276,9 @@ def _minimal_subdisk(chart: PolydiskChart, route: str, powers) -> dict:
         z0 = chart.base.z
         c2 = (chart.partial * n) * (z0 * z0 - 4).invert()
         A = Mat2(PadicInt(p, k, 1), c2, PadicInt(p, k, 0), PadicInt(p, k, 1))
-        f_map = chart.point_map(AutWord(("sz", "sx")).power(p * p))
+        f_map = chart.point_map(rotation("y", p * p))
         g_map = chart.point_map(
-            AutWord(("sx", "sy")).power(n // 2),
+            rotation("z", n // 2),
             kind="affine",
             A=A,
             b=(PadicInt(p, k, 0), PadicInt(p, k, 0)),
@@ -294,8 +287,8 @@ def _minimal_subdisk(chart: PolydiskChart, route: str, powers) -> dict:
         det, unit = twisted_minimality_det(f_map, g_map, chart.uv(*witness))
         method = "twisted"
     else:
-        f_map = chart.point_map(AutWord(("sz", "sx")).power(p * powers["g"]))
-        g_map = chart.point_map(AutWord(("sx", "sy")).power(p * powers["h"]))
+        f_map = chart.point_map(rotation("y", p * powers["g"]))
+        g_map = chart.point_map(rotation("z", p * powers["h"]))
         witness = (1, 1)
         det, unit = local_minimality_det(f_map, g_map, chart.uv(*witness))
         method = "direct"
@@ -346,7 +339,7 @@ def certify_minimal_polydisk(
         gens, powers = _stabilizers(chart, route, optimize_exponent)
         if powers is not None:
             cert["chart"]["stabilizer_powers"] = powers
-        rt = residual_transitivity(chart, gens, extra=gamma)
+        rt = residual_transitivity(chart, gens + [gamma])
         cert["residual_transitivity"] = rt
         if not rt["transitive"]:
             raise ValueError("not transitive")

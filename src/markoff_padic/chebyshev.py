@@ -173,10 +173,10 @@ class Mat2:
         )
 
 
-def _cheb_family(n: int, p: int, k: int, f_m1, f_0, cap: int) -> DensePoly:
+def _cheb_family(n: int, p: int, k: int, f_m1, f_0) -> DensePoly:
     """Run f_N = x f_{N-1} - f_{N-2} up to index n >= 0."""
-    if n > cap:
-        raise ValueError(f"degree cap {cap} exceeded")
+    if n > DEGREE_CAP:
+        raise ValueError(f"degree cap {DEGREE_CAP} exceeded")
     prev = DensePoly(p, k, f_m1)
     cur = DensePoly(p, k, f_0)
     if n == -1:
@@ -186,16 +186,16 @@ def _cheb_family(n: int, p: int, k: int, f_m1, f_0, cap: int) -> DensePoly:
     return cur
 
 
-def chebyshev_T(n: int, p: int, k: int, cap: int = DEGREE_CAP) -> DensePoly:
+def chebyshev_T(n: int, p: int, k: int) -> DensePoly:
     """T_n modulo p^k, using T_{-N} = T_N for negative indices."""
-    return _cheb_family(abs(n), p, k, [0, 1], [2], cap)
+    return _cheb_family(abs(n), p, k, [0, 1], [2])
 
 
-def chebyshev_U(n: int, p: int, k: int, cap: int = DEGREE_CAP) -> DensePoly:
+def chebyshev_U(n: int, p: int, k: int) -> DensePoly:
     """U_n modulo p^k, using U_{-N-2} = -U_N for indices below -1."""
     if n >= -1:
-        return _cheb_family(n, p, k, [], [1], cap)
-    return chebyshev_U(-n - 2, p, k, cap) * (-1)
+        return _cheb_family(n, p, k, [], [1])
+    return chebyshev_U(-n - 2, p, k) * (-1)
 
 
 def companion(x: PadicInt) -> Mat2:

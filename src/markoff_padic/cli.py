@@ -4,7 +4,7 @@ Every subcommand writes one report whose mathematical payload is a pure
 function of the configuration: iteration orders are fixed and no wall-clock
 data is recorded, so identical configurations yield byte-identical reports.
 Exit status: 0 when all checks pass, 1 on a mathematical failure, 2 on a
-usage error.
+usage error (an unwritable --out or --csv path is one).
 """
 
 from __future__ import annotations
@@ -263,15 +263,15 @@ def main(argv=None) -> int:
         parser.exit(2, "k, budget-words and workers must be positive\n")
     try:
         report = _COMMANDS[args.command](args)
-    except ValueError as exc:
+        text = json.dumps(report, indent=2) + "\n"
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0 if report["passed"] else 1
 
 

@@ -1,38 +1,33 @@
 """Level-1 polydisk charts and the local expansions of stabilizer words.
 
-A level-1 polydisk is a fiber of reduction mod p on the surface.  When the
-partial derivative of P along one coordinate is a unit at a base point, the
-other two coordinates parametrize the fiber: the solved coordinate is the
-implicit function xi of the two base coordinates, evaluated on demand by
-Newton's method (never stored as a series).  Chart coordinates (u, v) are
-the depressed base coordinates (b - b0)/p, so they carry one digit less
-than the ambient points.
+A level-1 polydisk is a fiber of reduction mod p on the surface.  Charts
+solve x: when dP/dx is a unit at the base point, (y, z) parametrize the
+fiber and x is the implicit function xi of (y, z), evaluated on demand by
+Newton's method (never stored as a series).  A base whose dP/dx vanishes
+mod p has no chart; since the transpositions are automorphisms, a caller
+orients it first by the transposition that brings a unit partial to x (as
+``certify._pick_arbitrary_base`` does).  Chart coordinates (u, v) are the
+depressed base coordinates ((y - y0)/p, (z - z0)/p), so they carry one
+digit less than the ambient points.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from .chebyshev import fixed_point_Tp
 from .flow import PointMap
 from .padic import PadicInt
-from .surface import AutWord, SurfacePoint, apply_word, reduce_point, solve_fiber
-
-_CYCLIC_BASES = {"x": ("y", "z"), "y": ("z", "x"), "z": ("x", "y")}
+from .surface import AutWord, SurfacePoint, apply_word, reduce_point, rotation, solve_fiber
 
 
 class PolydiskChart:
-    """Parametrization of the level-1 polydisk around a base point."""
+    """Parametrization of the level-1 polydisk around a base point, solving x."""
 
-    def __init__(self, base: SurfacePoint, solved: str = "x"):
-        if solved not in _CYCLIC_BASES:
-            raise ValueError(f"solved coordinate must be x, y or z, got {solved!r}")
+    def __init__(self, base: SurfacePoint):
         base.validate()
         self.base = base
-        self.solved = solved
-        self.base_names = _CYCLIC_BASES[solved]
-        self.partial = base.partials()["xyz".index(solved)]
+        self.partial = base.partials()[0]
         if not self.partial.is_unit():
             raise ValueError("no chart")
 
@@ -44,25 +39,21 @@ class PolydiskChart:
     def precision(self) -> int:
         return self.base.precision
 
-    def xi(self, b1: PadicInt, b2: PadicInt) -> PadicInt:
-        """Solved coordinate on the fiber over the base-coordinate pair."""
-        seed = getattr(self.base, self.solved).truncate(
-            min(self.precision, b1.precision, b2.precision)
-        )
-        return solve_fiber(b1, b2, self.base.D, seed)
+    def xi(self, y: PadicInt, z: PadicInt) -> PadicInt:
+        """x on the fiber over (y, z)."""
+        seed = self.base.x.truncate(min(self.precision, y.precision, z.precision))
+        return solve_fiber(y, z, self.base.D, seed)
 
     def psi(self, u: PadicInt, v: PadicInt) -> SurfacePoint:
         """Chart map: (u, v) -> surface point of the polydisk."""
-        n1, n2 = self.base_names
-        b1 = getattr(self.base, n1) + u.mul_p_power(1)
-        b2 = getattr(self.base, n2) + v.mul_p_power(1)
-        return replace(self.base, **{n1: b1, n2: b2, self.solved: self.xi(b1, b2)})
+        y = self.base.y + u.mul_p_power(1)
+        z = self.base.z + v.mul_p_power(1)
+        return SurfacePoint(self.xi(y, z), y, z, self.base.D)
 
     def psi_inv(self, pt: SurfacePoint) -> tuple[PadicInt, PadicInt]:
         """Chart coordinates of a point of the polydisk (one digit less)."""
-        n1, n2 = self.base_names
-        d1 = getattr(pt, n1) - getattr(self.base, n1)
-        d2 = getattr(pt, n2) - getattr(self.base, n2)
+        d1 = pt.y - self.base.y
+        d2 = pt.z - self.base.z
         if d1.residue % self.prime or d2.residue % self.prime:
             raise ValueError("leaves polydisk")
         return (d1.div_p_power(1), d2.div_p_power(1))
@@ -94,29 +85,25 @@ class PolydiskChart:
         return (PadicInt(self.prime, k, u), PadicInt(self.prime, k, v))
 
 
-def parametrize(pt: SurfacePoint, solved: str = "x") -> PolydiskChart:
-    """Chart for the level-1 polydisk of pt, solving the given coordinate."""
-    return PolydiskChart(pt, solved)
+def parametrize(pt: SurfacePoint) -> PolydiskChart:
+    """Chart for the level-1 polydisk of pt, solving x."""
+    return PolydiskChart(pt)
 
 
 def recentre(chart: PolydiskChart) -> PolydiskChart:
     """Move the chart center to the T_p-fixed base coordinates.
 
-    The base coordinates must avoid the residues +-2 mod p; the solved
-    coordinate is re-solved through xi, so the recentred base is the unique
-    point of the same polydisk whose base coordinates are fixed by T_p.
+    y and z must avoid the residues +-2 mod p; x is re-solved through xi,
+    so the recentred base is the unique point of the same polydisk whose
+    y and z are fixed by T_p.
     """
     p = chart.prime
-    n1, n2 = chart.base_names
-    b1 = getattr(chart.base, n1)
-    b2 = getattr(chart.base, n2)
-    for b in (b1, b2):
+    for b in (chart.base.y, chart.base.z):
         if b.residue % p in (2, p - 2):
             raise ValueError("border residues +-2 admit no rotation recentring")
-    f1 = fixed_point_Tp(b1)
-    f2 = fixed_point_Tp(b2)
-    centre = replace(chart.base, **{n1: f1, n2: f2, chart.solved: chart.xi(f1, f2)})
-    return PolydiskChart(centre, chart.solved)
+    y = fixed_point_Tp(chart.base.y)
+    z = fixed_point_Tp(chart.base.z)
+    return PolydiskChart(SurfacePoint(chart.xi(y, z), y, z, chart.base.D))
 
 
 def _default_samples(p: int, level: int, seed: int):
@@ -135,29 +122,27 @@ def _default_samples(p: int, level: int, seed: int):
     return out
 
 
-def verify_xi_expansion(chart: PolydiskChart, samples=None) -> dict:
-    """Check xi's degree-one expansion in the base coordinates, mod p^2."""
+def verify_xi_expansion(chart: PolydiskChart) -> dict:
+    """Check xi's degree-one expansion in (y, z), mod p^2."""
     if chart.precision < 2:
         raise ValueError("precision >= 2 required")
     p, k = chart.prime, chart.precision
-    n1, n2 = chart.base_names
-    partials = dict(zip("xyz", chart.base.partials()))
+    _, dPy, dPz = chart.base.partials()
     w = chart.partial.invert()
-    s1 = -partials[n1] * w
-    s2 = -partials[n2] * w
-    c0 = getattr(chart.base, chart.solved)
-    samples = list(samples) if samples is not None else _default_samples(p, 1, seed=1009 * p)
+    s1 = -dPy * w
+    s2 = -dPz * w
+    samples = _default_samples(p, 1, seed=1009 * p)
     failures = []
     for iu, iv in samples:
         u = PadicInt(p, k - 1, iu)
         v = PadicInt(p, k - 1, iv)
-        lhs = getattr(chart.psi(u, v), chart.solved)
-        rhs = c0 + s1 * u.mul_p_power(1) + s2 * v.mul_p_power(1)
+        lhs = chart.psi(u, v).x
+        rhs = chart.base.x + s1 * u.mul_p_power(1) + s2 * v.mul_p_power(1)
         if not lhs.congruent_to(rhs, 2):
             failures.append({"u": iu, "v": iv})
     return {
         "p": p,
-        "solved": chart.solved,
+        "solved": "x",
         "method": "pointwise congruence proxy (exhaustive mod p, sampled mod p^2)",
         "num_samples": len(samples),
         "passed": not failures,
@@ -171,7 +156,6 @@ def _pair_congruent(a, b, level: int) -> bool:
 
 def _run_check(chart, word, expected_fns, level, samples) -> list[dict]:
     """Evaluate the conjugated word once per sample against each expected map."""
-    samples = list(samples)
     failures = [0] * len(expected_fns)
     first = [None] * len(expected_fns)
     for iu, iv in samples:
@@ -194,7 +178,7 @@ def _run_check(chart, word, expected_fns, level, samples) -> list[dict]:
     ]
 
 
-def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str, samples=None) -> dict:
+def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str) -> dict:
     """Pointwise verification of one of the three stabilizer expansion lemmas.
 
     lemma "parab-f":  x0 = +-2 mod p; (s_y s_z)^p is a translation by
@@ -208,8 +192,6 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str, samples=None)
     lemma "nonpara-f": x0 != +-2 mod p; (s_y s_z)^{(p^2-1)/4} is
         I + w1 w2^T plus the drift ((x0 - x1)/p) w1 mod p.
     """
-    if chart.solved != "x":
-        raise ValueError("expansion lemmas are stated on charts solving x")
     p, k = chart.prime, chart.precision
     x0, y0, z0 = chart.base.coords()
     dPx, dPy, dPz = chart.base.partials()
@@ -226,9 +208,8 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str, samples=None)
     if lemma == "parab-f":
         if x0.residue % p not in (2, p - 2):
             raise ValueError("hypothesis violated: x0 must be +-2 mod p")
-        word = AutWord(("sy", "sz")).power(p)
-        if samples is None:
-            samples = _default_samples(p, 1, seed=2003 * p)
+        word = rotation("x", p)
+        samples = _default_samples(p, 1, seed=2003 * p)
         report["checks"]["f-mod-p"] = _run_check(
             chart, word, [lambda u, v: (u + dPy, v - dPz)], 1, samples
         )[0]
@@ -245,11 +226,10 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str, samples=None)
         dz = (z0 - z1).div_p_power(1)
         c1 = -(dPx * n) * (y0 * y0 - 4).invert()
         c2 = (dPx * n) * (z0 * z0 - 4).invert()
-        g_word = AutWord(("sz", "sx")).power(n // 2)
-        h_word = AutWord(("sx", "sy")).power(n // 2)
-        if samples is None:
-            samples = _default_samples(p, 2, seed=3001 * p)
-        mod_p_samples = [s for s in samples if s[0] < p and s[1] < p] or samples
+        g_word = rotation("y", n // 2)
+        h_word = rotation("z", n // 2)
+        samples = _default_samples(p, 2, seed=3001 * p)
+        mod_p_samples = [s for s in samples if s[0] < p and s[1] < p]
         report["checks"]["g-mod-p"] = _run_check(
             chart, g_word, [lambda u, v: (u, v + c1 * (u + dy))], 1, mod_p_samples
         )[0]
@@ -288,9 +268,8 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str, samples=None)
         w1 = (-dPz * c0, dPy * c0)
         wneg = -dPx.invert()
         w2 = (dPy * wneg, dPz * wneg)
-        word = AutWord(("sy", "sz")).power(n // 2)
-        if samples is None:
-            samples = _default_samples(p, 1, seed=4001 * p)
+        word = rotation("x", n // 2)
+        samples = _default_samples(p, 1, seed=4001 * p)
 
         def expected(u, v):
             dot = w2[0] * u + w2[1] * v

@@ -174,6 +174,14 @@ class AutWord:
         return AutWord(tuple(text.split()))
 
 
+_ROTATION_PAIRS = {"x": ("sy", "sz"), "y": ("sz", "sx"), "z": ("sx", "sy")}
+
+
+def rotation(c: str, m: int) -> AutWord:
+    """The Vieta word (s_a s_b)^m fixing coordinate c; it acts on (a, b) as C(c)^{2m}."""
+    return AutWord(_ROTATION_PAIRS[c]).power(m)
+
+
 def apply_word(word: AutWord, pt: SurfacePoint, gamma_only: bool = False) -> SurfacePoint:
     """Apply a word to a point, rightmost letter first."""
     if gamma_only and not word.gamma_only:
@@ -231,17 +239,17 @@ def reduce_point(pt: SurfacePoint, level: int) -> tuple[int, int, int]:
     return pt.residues(level)
 
 
-def lift_point(triple, D, p: int, k: int, solved: str | None = None) -> SurfacePoint:
+def lift_point(triple, D, p: int, k: int) -> SurfacePoint:
     """Hensel-lift a mod-p point to an exact point at precision k.
 
     Two coordinates keep their integer representatives; the remaining one
-    (the first with a unit partial derivative, unless ``solved`` names it)
-    is refined by Newton so the equation holds modulo p^k.
+    (the first with a unit partial derivative) is refined by Newton so the
+    equation holds modulo p^k.
     """
     if isinstance(D, int):
         D = PadicInt(p, k, D)
     coords = [PadicInt(p, k, int(c)) for c in triple]
-    i = unit_partial(triple, p) if solved is None else ("x", "y", "z").index(solved)
+    i = unit_partial(triple, p)
     seed = coords.pop(i)
     coords.insert(i, solve_fiber(*coords, D, seed))
     return SurfacePoint(*coords, D).validate()

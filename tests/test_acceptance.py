@@ -139,27 +139,27 @@ def _charts_for_expansions(p):
     charts = []
     if p == 5:
         base = certify.find_special_point(5, 0, 4)  # (2,1,0): parab + g-and-h
-        ch = polydisk.parametrize(base, "x")
+        ch = polydisk.parametrize(base)
         charts.append((ch, ["parab-f", "g-and-h"]))
-        nonpara = surface.lift_point((0, 1, 2), 0, 5, 4, solved="x")
-        charts.append((polydisk.parametrize(nonpara, "x"), ["nonpara-f"]))
+        nonpara = surface.lift_point((0, 1, 2), 0, 5, 4)
+        charts.append((polydisk.parametrize(nonpara), ["nonpara-f"]))
     elif p == 7:
         base = certify.find_special_point(7, 1, 4)
-        charts.append((polydisk.parametrize(base, "x"), ["parab-f", "g-and-h"]))
-        nonpara = surface.lift_point((1, 4, 1), 0, 7, 4, solved="x")
-        ch = polydisk.recentre(polydisk.parametrize(nonpara, "x"))
+        charts.append((polydisk.parametrize(base), ["parab-f", "g-and-h"]))
+        nonpara = surface.lift_point((1, 4, 1), 0, 7, 4)
+        ch = polydisk.recentre(polydisk.parametrize(nonpara))
         charts.append((ch, ["nonpara-f", "g-and-h"]))
     else:
         base = certify.find_special_point(p, 0, 4)
-        charts.append((polydisk.parametrize(base, "x"), ["parab-f", "g-and-h"]))
+        charts.append((polydisk.parametrize(base), ["parab-f", "g-and-h"]))
         pts = census.enumerate_points(p, 1, 0)
         for code in pts:
             x, y, z = (int(c) for c in census._decode(code, p))
             if x in (2, p - 2) or not (2 * x - y * z) % p:
                 continue
-            nonpara = surface.lift_point((x, y, z), 0, p, 4, solved="x")
+            nonpara = surface.lift_point((x, y, z), 0, p, 4)
             charts.append(
-                (polydisk.recentre(polydisk.parametrize(nonpara, "x")), ["nonpara-f"])
+                (polydisk.recentre(polydisk.parametrize(nonpara)), ["nonpara-f"])
             )
             break
     return charts
@@ -182,7 +182,7 @@ def test_criterion_08_strict_move():
     pt13 = certify.find_special_point(13, 0, 3)
     word, d = certify.strict_move_search(pt13)
     ok = word == surface.AutWord(("sy", "sz")).power(13) and d.exponent == 1
-    pt7 = surface.lift_point((1, 4, 1), 0, 7, 3, solved="x")
+    pt7 = surface.lift_point((1, 4, 1), 0, 7, 3)
     word7, d7 = certify.strict_move_search(pt7)
     ok = ok and d7.exponent == 1 and len(word7) > 0
     _criterion(8, "strict moves at (13,0) special point and (7,0)", ok, time.perf_counter() - t0, 60.0)
@@ -247,7 +247,7 @@ def test_criterion_11_property_suites():
             surface.apply_word(w, a), surface.apply_word(w, b)
         ).exponent == surface.dist(a, b).exponent
     # chart round-trips
-    ch = polydisk.parametrize(surface.point(3, 3, 3, 0, 7, 3), "x")
+    ch = polydisk.parametrize(surface.point(3, 3, 3, 0, 7, 3))
     for _ in range(1000):
         uu, vv = ch.uv(rng.randrange(49), rng.randrange(49))
         gu, gv = ch.psi_inv(ch.psi(uu, vv))

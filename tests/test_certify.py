@@ -20,7 +20,15 @@ from markoff_padic.certify import (
 from markoff_padic.census import _decode, check_transitivity, enumerate_points
 from markoff_padic.padic import PadicInt, legendre
 from markoff_padic.polydisk import parametrize, recentre
-from markoff_padic.surface import VIETA_LETTERS, AutWord, apply_word, dist, lift_point
+from markoff_padic.surface import (
+    VIETA_LETTERS,
+    AutWord,
+    apply_word,
+    dist,
+    generator_formula,
+    lift_point,
+    unit_partial,
+)
 
 
 def test_special_point_p13_D0():
@@ -71,7 +79,7 @@ def test_strict_move_special_p13():
 
 
 def test_strict_move_p7_any_point():
-    pt = lift_point((1, 4, 1), 0, 7, 3, solved="x")
+    pt = lift_point((1, 4, 1), 0, 7, 3)
     word, d = strict_move_search(pt)
     assert d.exponent == 1
     assert word.gamma_only and len(word) > 0
@@ -79,20 +87,20 @@ def test_strict_move_p7_any_point():
 
 def test_strict_move_never_identity():
     # a word fixing the point at precision is never accepted
-    pt = lift_point((1, 4, 1), 0, 7, 3, solved="x")
+    pt = lift_point((1, 4, 1), 0, 7, 3)
     word, _ = strict_move_search(pt)
     assert len(word) > 0
     assert not dist(pt, apply_word(word, pt)).indistinguishable
 
 
 def test_strict_move_precision_guard():
-    pt = lift_point((1, 4, 1), 0, 7, 1, solved="x")
+    pt = lift_point((1, 4, 1), 0, 7, 1)
     with pytest.raises(ValueError, match="precision"):
         strict_move_search(pt)
 
 
 def _recentred_chart_p7():
-    return recentre(parametrize(lift_point((1, 4, 1), 0, 7, 3, solved="x"), "x"))
+    return recentre(parametrize(lift_point((1, 4, 1), 0, 7, 3)))
 
 
 def test_residual_transitivity_cases():
@@ -109,7 +117,7 @@ def test_residual_transitivity_cases():
     assert not rep1["transitive"] and rep1["orbit_sizes"] == [1, 48]
     # adding the strict move gives one orbit
     gamma, _ = strict_move_search(ch.base)
-    rep2 = residual_transitivity(ch, [g, h], extra=gamma)
+    rep2 = residual_transitivity(ch, [g, h, gamma])
     assert rep2["transitive"] and rep2["orbit_sizes"] == [49]
 
 
@@ -144,12 +152,12 @@ def _transitivity_cases(draw):
     base = enumerate_points(p, 1, D % p)
     assume(len(base) > 0)
     t = tuple(int(c) for c in _decode(base[draw(st.integers(0, len(base) - 1))], p))
-    pt = lift_point(t, D, p, 3)
-    units = [n for n, d in zip("xyz", pt.partials()) if d.is_unit()]
-    chart = parametrize(pt, draw(st.sampled_from(units)))
-    if draw(st.booleans()) and all(
-        getattr(pt, n).residue % p not in (2, p - 2) for n in chart.base_names
-    ):
+    # oriented as certify._pick_arbitrary_base does, so that dP/dx is a unit
+    perm = (None, "pxy", "pzx")[unit_partial(t, p)]
+    if perm is not None:
+        t = generator_formula(perm)(*t)
+    chart = parametrize(lift_point(t, D, p, 3))
+    if draw(st.booleans()) and all(c % p not in (2, p - 2) for c in t[1:]):
         chart = recentre(chart)
 
     def stabilizer_candidate():
@@ -182,9 +190,9 @@ def test_residual_transitivity_matches_the_chart_table(case):
     except ValueError as exc:
         assert "leaves polydisk" in str(exc)
         with pytest.raises(ValueError, match="leaves polydisk"):
-            residual_transitivity(chart, words[:-1], extra=words[-1])
+            residual_transitivity(chart, words)
         return
-    rep = residual_transitivity(chart, words[:-1], extra=words[-1])
+    rep = residual_transitivity(chart, words)
     assert rep["orbit_sizes"] == want
     assert rep["transitive"] == (want == [chart.prime**2])
     assert rep["generators"] == [str(w) for w in words]
@@ -248,8 +256,8 @@ def test_certified_det_matches_c1c2uv():
     # c1 c2 u v is one
     p, k = 7, 4
     cert = certify_minimal_polydisk(p, k, 0)
-    base = lift_point(cert["base_point"]["recentred"], 0, p, k, solved="x")
-    ch = parametrize(base, "x")
+    base = lift_point(cert["base_point"]["recentred"], 0, p, k)
+    ch = parametrize(base)
     n = (p * p - 1) // 2
     y0, z0 = ch.base.y, ch.base.z
     c1 = -(ch.partial * n) * (y0 * y0 - 4).invert()
@@ -370,7 +378,7 @@ def _raising(message):
     return fake
 
 
-def _not_transitive(chart, gens, extra=None):
+def _not_transitive(chart, words):
     return {"transitive": False, "orbit_sizes": [1, 48], "generators": []}
 
 

@@ -119,6 +119,18 @@ def test_orbits_csv_export(tmp_path, capsys):
     assert rep["result"]["divisibility"] is True
 
 
+def test_unwritable_paths_exit_2(tmp_path, capsys):
+    # a report or CSV path that cannot be opened is a usage error, not a
+    # mathematical failure
+    missing = tmp_path / "missing"
+    assert main(["orbits", "--p", "5", "--k", "1", "--csv", str(missing / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["census", "--p", "5", "--k", "1", "--out", str(missing / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert not missing.exists()
+
+
 def test_catalog_command(capsys):
     code, rep = _run(capsys, "catalog", "--p", "11", "--k", "4", "--case", "golden")
     assert code == 0

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from markoff_padic.census import _decode, enumerate_points
 from markoff_padic.chebyshev import chebyshev_T_at, fixed_point_Tp
 from markoff_padic.padic import PadicInt, sqrt
 from markoff_padic.polydisk import (
@@ -17,21 +20,24 @@ from markoff_padic.polydisk import (
 from markoff_padic.surface import (
     AutWord,
     SurfacePoint,
+    apply_generator,
     eval_P,
+    gradient,
     lift_point,
     point,
     reduce_point,
+    unit_partial,
 )
 
 
 def _chart733():
-    return parametrize(point(3, 3, 3, 0, 7, 3), "x")
+    return parametrize(point(3, 3, 3, 0, 7, 3))
 
 
 def _chart_p5_exceptional(k=4):
     s = sqrt(PadicInt(5, k, 3 - 4))
     pt = SurfacePoint(s, PadicInt(5, k, 2), PadicInt(5, k, 0), PadicInt(5, k, 3))
-    return parametrize(pt.validate(), "x")
+    return parametrize(pt.validate())
 
 
 def test_parametrize_seed_and_unit_partial():
@@ -42,10 +48,10 @@ def test_parametrize_seed_and_unit_partial():
 
 def test_parametrize_rejects_singular_direction():
     # (4,1,1) mod 7 has dP/dx = 0 but dP/dy a unit
-    pt = lift_point((4, 1, 1), 0, 7, 3, solved="y")
+    pt = lift_point((4, 1, 1), 0, 7, 3)
     with pytest.raises(ValueError, match="no chart"):
-        parametrize(pt, "x")
-    parametrize(pt, "y")  # fine
+        parametrize(pt)
+    parametrize(apply_generator("pxy", pt))  # the transpose charts
 
 
 def test_psi_lies_on_surface_exhaustive_and_random():
@@ -71,15 +77,40 @@ def test_chart_roundtrip():
         assert got_u == uu and got_v == vv
 
 
-def test_chart_other_solved_coordinates():
-    pt = lift_point((4, 1, 1), 0, 7, 3, solved="y")
-    ch = parametrize(pt, "y")
-    q = ch.psi(*ch.uv(3, 2))
-    assert eval_P(*q.coords()).residue == 0
-    u, v = ch.psi_inv(q)
-    assert u.residue == 3 and v.residue == 2
-    rep = verify_xi_expansion(ch)
-    assert rep["passed"]
+@st.composite
+def _mod_p_points(draw):
+    """A nonsingular point mod p, half the time one whose dP/dx vanishes."""
+    p = draw(st.sampled_from((5, 7, 11)))
+    D = draw(st.integers(0, p**3 - 1))
+    x_singular = draw(st.booleans())
+    pts = [
+        t
+        for t in zip(*(c.tolist() for c in _decode(enumerate_points(p, 1, D % p), p)))
+        if (gradient(*t)[0] % p == 0) == x_singular
+    ]
+    assume(pts)
+    uv = (draw(st.integers(0, p * p - 1)), draw(st.integers(0, p * p - 1)))
+    return p, D, draw(st.sampled_from(pts)), uv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mod_p_points())
+def test_chart_other_solved_coordinates(case):
+    # charts solve x: a base whose dP/dx vanishes has no chart, and the
+    # transposition bringing its first unit partial to x orients it
+    p, D, t, uv = case
+    pt = lift_point(t, D, p, 3)
+    perm = (None, "pxy", "pzx")[unit_partial(t, p)]
+    if perm is not None:
+        with pytest.raises(ValueError, match="no chart"):
+            parametrize(pt)
+        pt = apply_generator(perm, pt)
+    ch = parametrize(pt)
+    u, v = ch.uv(*uv)
+    q = ch.psi(u, v)
+    assert q.validate() and ch.contains(q)
+    assert ch.psi_inv(q) == (u, v)
+    assert verify_xi_expansion(ch)["passed"]
 
 
 def test_xi_expansion_slopes_example():
@@ -115,7 +146,7 @@ def test_chart_apply_empty_word_is_identity():
 
 
 def test_chart_apply_composes():
-    ch = parametrize(lift_point((4, 1, 1), 0, 7, 4, solved="y"), "y")
+    ch = parametrize(apply_generator("pxy", lift_point((4, 1, 1), 0, 7, 4)))
     w1 = AutWord(("sz", "sx")).power(12)
     w2 = AutWord(("sy", "sz")).power(12)
     uv = ch.uv(2, 3)
@@ -125,8 +156,8 @@ def test_chart_apply_composes():
 
 
 def test_recentre():
-    pt = lift_point((1, 4, 1), 0, 7, 4, solved="x")
-    ch = recentre(parametrize(pt, "x"))
+    pt = lift_point((1, 4, 1), 0, 7, 4)
+    ch = recentre(parametrize(pt))
     assert chebyshev_T_at(ch.base.y, 7) == ch.base.y
     assert chebyshev_T_at(ch.base.z, 7) == ch.base.z
     assert reduce_point(ch.base, 1) == (1, 4, 1)
@@ -168,8 +199,8 @@ def test_g_and_h_expansions():
                 if (2 * x - y * z) % p and y not in (2, p - 2) and z not in (2, p - 2):
                     base = (x, y, z)
                     break
-        pt = lift_point(base, 0, p, 4, solved="x")
-        ch = recentre(parametrize(pt, "x"))
+        pt = lift_point(base, 0, p, 4)
+        ch = recentre(parametrize(pt))
         rep = verify_stabilizer_expansions(ch, "g-and-h")
         assert rep["passed"], rep
 
@@ -177,8 +208,8 @@ def test_g_and_h_expansions():
 def test_g_and_h_on_uncentred_chart_reports_drift_variant():
     # without recentring the drift terms are nonzero and distinguish the
     # z-drift reading of the constant term from the derived y-drift
-    pt = lift_point((1, 4, 1), 0, 7, 4, solved="x")
-    ch = parametrize(pt, "x")
+    pt = lift_point((1, 4, 1), 0, 7, 4)
+    ch = parametrize(pt)
     rep = verify_stabilizer_expansions(ch, "g-and-h")
     assert rep["passed"]
     note = rep["notes"][0]
@@ -187,7 +218,7 @@ def test_g_and_h_on_uncentred_chart_reports_drift_variant():
 
 def test_g_and_h_applies_each_word_once_per_sample(monkeypatch):
     # g^p is checked against the y-drift and the z-drift reading from one image
-    ch = recentre(parametrize(lift_point((1, 4, 1), 0, 7, 4, solved="x"), "x"))
+    ch = recentre(parametrize(lift_point((1, 4, 1), 0, 7, 4)))
     apply_word_uv = PolydiskChart.apply_word_uv
     calls = []
 
@@ -205,8 +236,8 @@ def test_g_and_h_applies_each_word_once_per_sample(monkeypatch):
 
 
 def test_nonpara_f_expansion():
-    pt = lift_point((1, 4, 1), 0, 7, 4, solved="x")
-    ch = recentre(parametrize(pt, "x"))
+    pt = lift_point((1, 4, 1), 0, 7, 4)
+    ch = recentre(parametrize(pt))
     rep = verify_stabilizer_expansions(ch, "nonpara-f")
     assert rep["passed"]
     with pytest.raises(ValueError, match="x0"):
@@ -216,8 +247,8 @@ def test_nonpara_f_expansion():
 def test_unipotent_linearizations_and_gp_identity_mod_p():
     p = 7
     n = (p * p - 1) // 2
-    pt = lift_point((1, 4, 1), 0, p, 4, solved="x")
-    ch = recentre(parametrize(pt, "x"))
+    pt = lift_point((1, 4, 1), 0, p, 4)
+    ch = recentre(parametrize(pt))
     y0, z0 = ch.base.y, ch.base.z
     c1 = -(ch.partial * n) * (y0 * y0 - 4).invert()
     c2 = (ch.partial * n) * (z0 * z0 - 4).invert()
@@ -236,10 +267,7 @@ def test_unipotent_linearizations_and_gp_identity_mod_p():
             assert (out[0].residue % p, out[1].residue % p) == uv
 
 
-def test_unknown_lemma_and_wrong_chart():
+def test_unknown_lemma():
     ch = _chart733()
     with pytest.raises(ValueError, match="unknown lemma"):
         verify_stabilizer_expansions(ch, "nope")
-    pt = lift_point((4, 1, 1), 0, 7, 3, solved="y")
-    with pytest.raises(ValueError, match="solving x"):
-        verify_stabilizer_expansions(parametrize(pt, "y"), "parab-f")

@@ -171,7 +171,7 @@ def test_reduce_examples_and_word_commutation():
 
 
 def test_lift_point_validates_and_respects_solved():
-    pt = lift_point((1, 4, 1), 0, 7, 4, solved="x")
+    pt = lift_point((1, 4, 1), 0, 7, 4)
     assert pt.residues(1) == (1, 4, 1)
     assert eval_P(*pt.coords()).residue == 0
     with pytest.raises(ValueError, match="singular"):
