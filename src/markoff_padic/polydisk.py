@@ -18,7 +18,14 @@ import random
 from .chebyshev import fixed_point_Tp
 from .flow import PointMap
 from .padic import PadicInt
-from .surface import AutWord, SurfacePoint, apply_word, reduce_point, rotation, solve_fiber
+from .surface import (
+    AutWord,
+    SurfacePoint,
+    apply_word,
+    reduce_point,
+    rotation,
+    solve_fiber,
+)
 
 
 class PolydiskChart:
