@@ -7,6 +7,7 @@ minimal-subdisk determinant.
 """
 
 import json
+import time
 
 from markoff_padic import certify_minimal_polydisk
 from markoff_padic.certify import certificate_json, replay
@@ -30,3 +31,14 @@ print("replay of the serialized certificate reproduces it byte-for-byte:", ok)
 cert = certify_minimal_polydisk(13, 3, 0, optimize_exponent=True)
 print("optimized stabilizer powers at p=13:", cert["chart"]["stabilizer_powers"],
       "(uniform choice would be", (13 * 13 - 1) // 4, ") overall:", cert["overall"])
+
+# the stabilizers have (p^2-1)/2 letters and their p-th powers in the
+# minimal-subdisk stage about p^3/2, but each is a single run (s_a s_b)^m,
+# applied as one companion power C(c)^{2m}
+for p in (47, 101, 199):
+    start = time.perf_counter()
+    cert = certify_minimal_polydisk(p, 3, 0)
+    seconds = time.perf_counter() - start
+    letters = [len(w.split()) for w in cert["residual_transitivity"]["generators"]]
+    print(f"certify p={p}: route={cert['route']} overall={cert['overall']} "
+          f"word lengths {letters} in {seconds:.2f} s")

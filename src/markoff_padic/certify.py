@@ -28,6 +28,7 @@ from .surface import (
     AutWord,
     SurfacePoint,
     VIETA_LETTERS,
+    apply_letters,
     apply_word,
     dist,
     eval_P,
@@ -36,6 +37,7 @@ from .surface import (
     lift_point,
     reduce_point,
     rotation,
+    run_action,
     unit_partial,
 )
 
@@ -130,32 +132,73 @@ def strict_move_search(pt: SurfacePoint, budget: int = 8):
     Tries the explicit parabolic power (s_. s_.)^p on coordinates at +-2,
     then the (p^2-1)/4-th powers conjugated by short words, then a bounded
     breadth-first collision search over the orbit mod p^2.  The returned
-    distance is re-verified before returning.
+    distance is re-verified letter by letter (``apply_letters``) before
+    returning.
     """
     if pt.precision < 2:
         raise ValueError("precision >= 2 required")
     pt.validate()
 
-    def check(word):
-        if not len(word):
-            return None
-        d = dist(pt, apply_word(word, pt, gamma_only=True))
-        return d if d.exponent == 1 else None
+    def candidates():
+        yield from _parab_candidates(pt)
+        yield from _conjugated_power_candidates(pt)
+        word = _collision_bfs(pt, budget)
+        if word is not None:
+            yield word
 
-    for word in _parab_candidates(pt):
-        d = check(word)
-        if d is not None:
-            return word, d
-    for word in _conjugated_power_candidates(pt):
-        d = check(word)
-        if d is not None:
-            return word, d
-    word = _collision_bfs(pt, budget)
-    if word is not None:
-        d = check(word)
-        if d is not None:
-            return word, d
+    for word in candidates():
+        if not len(word):
+            continue
+        d = dist(pt, apply_word(word, pt, gamma_only=True))
+        if d.exponent != 1:
+            continue
+        if dist(pt, apply_letters(word, pt)) != d:
+            raise ValueError("strict move distance differs letter by letter")
+        return word, d
     raise ValueError("no strict move found")
+
+
+def _companion_power_mod(x: np.ndarray, n: int, M: int):
+    """Entries (a11, a12, a21, a22) of C(x)^n mod M for each x, by binary powers.
+
+    Entries stay in [0, M) and M < 2^21, so the sums of products stay below
+    2^43 in int64.
+    """
+    def mul(A, B):
+        a, b, c, d = A
+        e, f, g, h = B
+        return ((a * e + b * g) % M, (a * f + b * h) % M,
+                (c * e + d * g) % M, (c * f + d * h) % M)
+
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    out, base = (one, zero, zero, one), (x, np.full_like(x, M - 1), one, zero)
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
+
+
+def _residue_word(word: AutWord, coords, M: int):
+    """A word on residue arrays mod M, rightmost run first.
+
+    A Vieta run is one companion power (``surface.run_action``); a single
+    letter goes through the generator table.
+    """
+    for run in reversed(word.runs):
+        pair, n = run
+        if n == 1:
+            coords = census._residue_action(pair[0], M)(*coords)
+            continue
+        fixed, source, target, e = run_action(run)
+        a11, a12, a21, a22 = _companion_power_mod(coords[fixed], e, M)
+        u, v = (coords[i] for i in source)
+        coords = list(coords)
+        coords[target[0]] = (a11 * u + a12 * v) % M
+        coords[target[1]] = (a21 * u + a22 * v) % M
+    return coords
 
 
 def residual_transitivity(chart: PolydiskChart, words) -> dict:
@@ -171,10 +214,7 @@ def residual_transitivity(chart: PolydiskChart, words) -> dict:
     disk = census._lift_all([base], p, 2, chart.base.D.residue_mod(2))
     maps = []
     for word in words:
-        coords = census._decode(disk, M)
-        for g in reversed(word.letters):
-            coords = census._residue_action(g, M)(*coords)
-        image = census._encode(*coords, M)
+        image = census._encode(*_residue_word(word, census._decode(disk, M), M), M)
         # an index past the end wraps to disk[0], which is below such an image
         if np.any(disk[np.searchsorted(disk, image) % disk.size] != image):
             raise ValueError("leaves polydisk")

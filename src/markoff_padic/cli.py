@@ -4,13 +4,15 @@ Every subcommand writes one report whose mathematical payload is a pure
 function of the configuration: iteration orders are fixed and no wall-clock
 data is recorded, so identical configurations yield byte-identical reports.
 Exit status: 0 when all checks pass, 1 on a mathematical failure, 2 on a
-usage error (an unwritable --out or --csv path is one).
+usage error (an unwritable --out or --csv path is one, refused before the
+command runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
@@ -256,12 +258,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError unless path opens for writing; an existing file is left as it was."""
+    existed = os.path.exists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.k < 1 or args.budget_words < 1 or args.workers < 1:
         parser.exit(2, "k, budget-words and workers must be positive\n")
     try:
+        for path in (args.out, getattr(args, "csv", None)):
+            if path:
+                _check_writable(path)
         report = _COMMANDS[args.command](args)
         text = json.dumps(report, indent=2) + "\n"
         if args.out:

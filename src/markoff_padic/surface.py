@@ -15,6 +15,17 @@ coordinates a letter rewrites.  ``gradient`` (the partials of P),
 ``unit_partial`` (the first coordinate whose partial is a unit mod p) and
 ``solve_fiber`` (that coordinate by Newton over the other two) are likewise
 the one definition of the smooth fiber.
+
+An ``AutWord`` is stored as runs: maximal alternating blocks of two Vieta
+letters, such as the stabilizer (s_a s_b)^m of ``rotation``, and single
+letters between them.  Reduction, products, inverses and powers work on runs,
+so a word of millions of letters is a few tuples; ``letters`` writes them out
+on demand.  ``run_action`` is the one decoding of a run: the coordinate it
+fixes, the pair it moves and in which order, and its exponent n, the number
+of letters.  ``apply_word`` evaluates each run as one companion power C(c)^n
+(``chebyshev.companion_power``), in O(log n) ring operations, and
+``certify`` does the same on residue arrays mod p^2.  ``apply_letters``,
+one generator at a time, is the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
+from .chebyshev import companion_power
 from .padic import PadicInt, newton_solve
 
 GENERATORS = {
@@ -126,45 +138,112 @@ def apply_generator(letter: str, pt: SurfacePoint) -> SurfacePoint:
     return SurfacePoint(*generator_formula(letter)(pt.x, pt.y, pt.z), pt.D)
 
 
-def free_reduce(letters) -> tuple[str, ...]:
-    """Cancel adjacent equal letters (every generator is an involution)."""
-    out: list[str] = []
-    for g in letters:
-        if g not in ALL_LETTERS:
-            raise ValueError(f"unknown generator letter {g!r}")
-        if out and out[-1] == g:
-            out.pop()
+def _run_letters(run) -> tuple[str, ...]:
+    pair, n = run
+    return (pair * ((n + 1) // 2))[:n]
+
+
+def _drop_front(run, k: int):
+    """The run without its first k letters (k < length)."""
+    pair, n = run
+    if n - k == 1:
+        return (pair[k % len(pair)],), 1
+    return (pair[k % 2], pair[(k + 1) % 2]), n - k
+
+
+def _reversed_run(run):
+    pair, n = run
+    return (pair[(n - 1) % len(pair)], pair[n % len(pair)])[: len(pair)], n
+
+
+def _push(runs: list, run) -> None:
+    """Append one run to canonical reduced runs, cancelling and merging at the join."""
+    while runs:
+        (pair, n), (top, top_n) = run, runs[-1]
+        last = top[(top_n - 1) % len(top)]
+        g = pair[0]
+        if g == last:
+            # top read backwards and the run read forwards agree letter by letter
+            k = min(n, top_n) if len(pair) == 2 and set(top) == set(pair) else 1
+            if top_n == k:
+                runs.pop()
+            else:
+                runs[-1] = (top[0],) if top_n - k == 1 else top, top_n - k
+        elif g in VIETA_LETTERS and (
+            g == top[top_n % 2] if top_n > 1 else top[0] in VIETA_LETTERS
+        ):
+            # g continues the top block's alternation, or pairs with a lone
+            # Vieta top; the rest of the run follows when it alternates with last
+            k = n if n == 1 or pair[1] == last else 1
+            runs[-1] = (top if top_n > 1 else (last, g)), top_n + k
         else:
-            out.append(g)
+            break
+        if k == n:
+            return
+        run = _drop_front(run, k)
+    runs.append(run)
+
+
+def free_reduce(runs) -> tuple:
+    """Canonical runs of a sequence of runs: adjacent equal letters cancel
+    (every generator is an involution) and alternating Vieta letters merge.
+
+    A run (pair, n) is n letters pair[0], pair[1], pair[0], ...: either a
+    single letter ((g,), 1) or, for n >= 2, a maximal alternating block of two
+    Vieta letters, taken greedily from the left.
+    """
+    out: list = []
+    for run in runs:
+        _push(out, run)
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class AutWord:
-    """A freely reduced word in the automorphism generators."""
+    """A freely reduced word in the automorphism generators, stored as runs."""
 
-    letters: tuple[str, ...]
+    runs: tuple
 
     def __init__(self, letters=()):
-        object.__setattr__(self, "letters", free_reduce(letters))
+        letters = tuple(letters)
+        for g in letters:
+            generator_formula(g)
+        object.__setattr__(self, "runs", free_reduce(((g,), 1) for g in letters))
+
+    @staticmethod
+    def _of_runs(runs) -> "AutWord":
+        word = object.__new__(AutWord)
+        object.__setattr__(word, "runs", free_reduce(runs))
+        return word
+
+    @property
+    def letters(self) -> tuple[str, ...]:
+        return tuple(g for run in self.runs for g in _run_letters(run))
 
     @property
     def gamma_only(self) -> bool:
-        return all(g in VIETA_LETTERS for g in self.letters)
+        return all(g in VIETA_LETTERS for pair, _ in self.runs for g in pair)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return sum(n for _, n in self.runs)
 
     def __mul__(self, other: "AutWord") -> "AutWord":
-        return AutWord(self.letters + other.letters)
+        return AutWord._of_runs(self.runs + other.runs)
 
     def inverse(self) -> "AutWord":
-        return AutWord(tuple(reversed(self.letters)))
+        return AutWord._of_runs(_reversed_run(r) for r in reversed(self.runs))
 
     def power(self, n: int) -> "AutWord":
         if n < 0:
             return self.inverse().power(-n)
-        return AutWord(self.letters * n)
+        out, base = AutWord(), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
 
     def __str__(self) -> str:
         return " ".join(self.letters)
@@ -182,10 +261,38 @@ def rotation(c: str, m: int) -> AutWord:
     return AutWord(_ROTATION_PAIRS[c]).power(m)
 
 
+def run_action(run) -> tuple[int, tuple[int, int], tuple[int, int], int]:
+    """(fixed, source, target, exponent) of a Vieta run of n >= 2 letters.
+
+    The run a b a ... (leftmost a) fixes the third coordinate c and sets the
+    coordinates (a, b) to C(c)^n applied to (a, b) when n is even and to
+    (b, a) when n is odd; coordinates are indices 0, 1, 2 of (x, y, z).
+    """
+    (a, b), n = run
+    i, j = "xyz".index(a[1]), "xyz".index(b[1])
+    return 3 - i - j, ((i, j) if n % 2 == 0 else (j, i)), (i, j), n
+
+
 def apply_word(word: AutWord, pt: SurfacePoint, gamma_only: bool = False) -> SurfacePoint:
-    """Apply a word to a point, rightmost letter first."""
+    """Apply a word to a point, rightmost run first, each run as one companion power."""
     if gamma_only and not word.gamma_only:
         raise ValueError("word is not in the Vieta subgroup")
+    for run in reversed(word.runs):
+        pair, n = run
+        if n == 1:
+            pt = apply_generator(pair[0], pt)
+            continue
+        fixed, source, target, e = run_action(run)
+        coords = list(pt.coords())
+        moved = companion_power(coords[fixed], e).apply(tuple(coords[s] for s in source))
+        for t, value in zip(target, moved):
+            coords[t] = value
+        pt = SurfacePoint(*coords, pt.D)
+    return pt
+
+
+def apply_letters(word: AutWord, pt: SurfacePoint) -> SurfacePoint:
+    """Reference for ``apply_word``: one generator at a time, rightmost letter first."""
     for g in reversed(word.letters):
         pt = apply_generator(g, pt)
     return pt

@@ -1,5 +1,6 @@
 """Certification pipeline: special points, strict moves, certificates, XD."""
 
+import time
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markoff_padic.certify import (
+    _residue_word,
     certificate_json,
     certification_route,
     certify_minimal_polydisk,
@@ -17,10 +19,11 @@ from markoff_padic.certify import (
     residual_transitivity,
     strict_move_search,
 )
-from markoff_padic.census import _decode, check_transitivity, enumerate_points
+from markoff_padic.census import _decode, _residue_action, check_transitivity, enumerate_points
 from markoff_padic.padic import PadicInt, legendre
 from markoff_padic.polydisk import parametrize, recentre
 from markoff_padic.surface import (
+    ALL_LETTERS,
     VIETA_LETTERS,
     AutWord,
     apply_word,
@@ -179,6 +182,36 @@ def _transitivity_cases(draw):
     return chart, words
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((5, 7, 11, 13, 1447)),
+    st.lists(
+        st.one_of(
+            st.sampled_from(ALL_LETTERS).map(lambda g: (g,)),
+            st.tuples(
+                st.sampled_from([(a, b) for a in VIETA_LETTERS for b in VIETA_LETTERS if a != b]),
+                st.integers(2, 400),
+            ).map(lambda t: (t[0] * t[1])[: t[1]]),
+        ),
+        max_size=5,
+    ),
+    st.integers(0, 2**32),
+)
+def test_residue_runs_match_the_letter_action(p, pieces, seed):
+    # the vectorized companion power of each run mod p^2 against one
+    # generator-table letter at a time; p = 1447 is the largest p with
+    # p^2 < 2^21, where products come closest to the int64 bound
+    M = p * p
+    word = AutWord(sum(pieces, ()))
+    coords = tuple(np.random.default_rng(seed).integers(0, M, size=(3, 16), dtype=np.int64))
+    want = coords
+    for g in reversed(word.letters):
+        want = _residue_action(g, M)(*want)
+    got = _residue_word(word, coords, M)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_transitivity_cases())
 def test_residual_transitivity_matches_the_chart_table(case):
@@ -208,6 +241,17 @@ def test_certificates_pass_and_replay(p, k, D):
     ok, fresh = replay(cert)
     assert ok
     assert certificate_json(fresh) == certificate_json(cert)
+
+
+def test_certify_time_grows_with_runs_not_letters():
+    # the minimal-subdisk words of about p^3/2 letters are single runs, so
+    # both routes certify near p = 200 in about a second; letter by letter
+    # took minutes
+    start = time.perf_counter()
+    for p, route in ((197, "special-point"), (199, "arbitrary-point")):
+        cert = certify_minimal_polydisk(p, 3, 0)
+        assert cert["route"] == route and cert["overall"], cert["stage_failures"]
+    assert time.perf_counter() - start < 30
 
 
 def test_replay_after_json_roundtrip():
@@ -395,6 +439,9 @@ def _non_unit_det(f_map, g_map, point):
          ["base-point/chart: no points mod p"], []),
         ("certify", "strict_move_search", _raising("no strict move found"), (13, 3, 0),
          ["strict-move: no strict move found"], ["base_point", "chart"]),
+        # the letter-by-letter re-check disagrees with the run evaluation
+        ("certify", "apply_letters", lambda word, pt: pt, (13, 3, 0),
+         ["strict-move: strict move distance differs letter by letter"], ["base_point", "chart"]),
         ("certify", "residual_transitivity", _raising("leaves polydisk"), (13, 3, 0),
          ["residual-transitivity: leaves polydisk"], ["base_point", "chart", "strict_move"]),
         ("certify", "residual_transitivity", _not_transitive, (13, 3, 0),
@@ -406,7 +453,8 @@ def _non_unit_det(f_map, g_map, point):
          (5, 3, 3), ["minimal-subdisk: twisted map is not affine mod p"],
          ["base_point", "chart", "strict_move", "residual_transitivity"]),
     ],
-    ids=["special-point", "no-points", "strict-move", "rt-raises", "rt-not-transitive",
+    ids=["special-point", "no-points", "strict-move", "strict-move-recheck", "rt-raises",
+         "rt-not-transitive",
          "det-non-unit", "twisted-raises"],
 )
 def test_stage_failure_is_recorded_and_stops_the_pipeline(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from markoff_padic import census, certify
 from markoff_padic.cli import main, parse_parameter
 from markoff_padic.padic import PadicInt
 
@@ -119,7 +120,7 @@ def test_orbits_csv_export(tmp_path, capsys):
     assert rep["result"]["divisibility"] is True
 
 
-def test_unwritable_paths_exit_2(tmp_path, capsys):
+def test_unwritable_paths_exit_2(tmp_path, capsys, monkeypatch):
     # a report or CSV path that cannot be opened is a usage error, not a
     # mathematical failure
     missing = tmp_path / "missing"
@@ -129,6 +130,25 @@ def test_unwritable_paths_exit_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and captured.out == ""
     assert not missing.exists()
+
+    # the path is refused before the command runs
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    monkeypatch.setattr(certify, "certify_minimal_polydisk", never)
+    monkeypatch.setattr(census, "orbits", never)
+    assert main(["certify", "--p", "47", "--k", "3", "--out", str(missing / "x.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["orbits", "--p", "47", "--k", "2", "--csv", str(missing / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.undo()
+
+    # a run that exits 2 leaves an existing report as it was and creates none
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("earlier report\n")
+    for out in (kept, fresh):
+        assert main(["certify", "--p", "3", "--k", "3", "--out", str(out)]) == 2
+    assert kept.read_text() == "earlier report\n" and not fresh.exists()
 
 
 def test_catalog_command(capsys):

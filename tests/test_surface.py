@@ -12,9 +12,11 @@ from markoff_padic.chebyshev import companion_power
 from markoff_padic.padic import PadicInt
 from markoff_padic.surface import (
     ALL_LETTERS,
+    VIETA_LETTERS,
     AutWord,
     SurfacePoint,
     apply_generator,
+    apply_letters,
     apply_word,
     dist,
     eval_P,
@@ -22,6 +24,7 @@ from markoff_padic.surface import (
     lift_point,
     point,
     reduce_point,
+    rotation,
     unit_partial,
 )
 
@@ -118,6 +121,94 @@ def test_word_power_and_unknown_letter():
     assert AutWord(("sy", "sz")).power(3).letters == ("sy", "sz") * 3
     with pytest.raises(ValueError, match="unknown generator"):
         AutWord(("qq",))
+    # a stabilizer power is one run, whatever its length
+    w = rotation("y", 10**12)
+    assert w.runs == ((("sz", "sx"), 2 * 10**12),) and len(w) == 2 * 10**12
+    assert w.inverse().runs == ((("sx", "sz"), 2 * 10**12),)
+    assert (w * w.inverse()).runs == () and w.power(-1) == w.inverse()
+
+
+# -- run-length words against a letter-level reference ------------------------
+
+_VIETA_PAIRS = [(a, b) for a in VIETA_LETTERS for b in VIETA_LETTERS if a != b]
+
+
+def _reduce_letters(letters):
+    out = []
+    for g in letters:
+        if out and out[-1] == g:
+            out.pop()
+        else:
+            out.append(g)
+    return tuple(out)
+
+
+def _greedy_runs(letters):
+    """Maximal alternating Vieta blocks taken from the left; other letters alone."""
+    runs, i = [], 0
+    while i < len(letters):
+        j = i + 1
+        if letters[i] in VIETA_LETTERS and j < len(letters) and letters[j] in VIETA_LETTERS:
+            j += 1
+            while j < len(letters) and letters[j] == letters[j - 2]:
+                j += 1
+            runs.append(((letters[i], letters[i + 1]), j - i))
+        else:
+            runs.append(((letters[i],), 1))
+        i = j
+    return tuple(runs)
+
+
+def _letter_words(max_run):
+    """Letter tuples mixing single generators and alternating Vieta blocks of any parity."""
+    block = st.tuples(st.sampled_from(_VIETA_PAIRS), st.integers(1, max_run)).map(
+        lambda t: (t[0] * t[1])[: t[1]]
+    )
+    piece = st.one_of(st.sampled_from(ALL_LETTERS).map(lambda g: (g,)), block)
+    return st.lists(piece, max_size=6).map(lambda ps: sum(ps, ()))
+
+
+def _check_word(w, letters):
+    reduced = _reduce_letters(letters)
+    assert w.letters == reduced and len(w) == len(reduced)
+    assert w.runs == _greedy_runs(reduced)
+    assert str(w) == " ".join(reduced) and AutWord.parse(str(w)) == w
+    assert w.gamma_only == all(g in VIETA_LETTERS for g in reduced)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_letter_words(9), _letter_words(9), st.integers(-4, 5))
+def test_run_words_match_the_letter_reference(a, b, n):
+    u, v = AutWord(a), AutWord(b)
+    _check_word(u, a)
+    _check_word(u * v, u.letters + v.letters)
+    assert u * v == AutWord(a + b)
+    _check_word(u.inverse(), tuple(reversed(u.letters)))
+    base = u.letters if n >= 0 else tuple(reversed(u.letters))
+    _check_word(u.power(n), base * abs(n))
+
+
+@st.composite
+def _mixed_word_and_point(draw):
+    p = draw(st.sampled_from((5, 7, 11, 13)))
+    K = draw(st.integers(1, 4))
+    coords = [
+        PadicInt(p, draw(st.integers(1, K)), draw(st.integers(0, p**K - 1)))
+        for _ in range(3)
+    ]
+    pt = SurfacePoint(*coords, eval_P(*coords))
+    return AutWord(draw(_letter_words(3 * p * p))), pt
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_word_and_point())
+def test_apply_word_matches_apply_letters(case):
+    # each run as one companion power against one generator at a time, with
+    # coordinates of mixed precision
+    word, pt = case
+    fast, slow = apply_word(word, pt), apply_letters(word, pt)
+    for a, b in zip(fast.coords() + (fast.D,), slow.coords() + (slow.D,)):
+        assert (a.residue, a.precision) == (b.residue, b.precision)
 
 
 def test_dist_classes():
