@@ -3,18 +3,22 @@
 Points are encoded as single integers x + y*M + z*M^2 with M = p^k, so sets
 of points are sorted int64 arrays and generator images are vectorized numpy
 expressions.  A code is below M^3, so it fits in int64 only while
-M < 2^21; larger p^k is refused up front.  Level-1 sets come from a brute
-scan; higher levels lift each nonsingular mod-p point through its smooth
-fiber of exactly p^{2(k-1)} points instead of scanning p^{3k} triples.
-``_lift_all`` keeps a numpy chord-Newton over ``surface.solve_fiber``'s
-quadratic, for the coordinate that ``surface.unit_partial`` picks.
+M < 2^21; larger p^k is refused up front.  Level-1 sets solve the
+quadratic in z: for fixed (x, y) the surface mod p is
+z^2 - xy*z + (x^2 + y^2 - D) = 0, so one table of square roots mod p gives
+every point in O(p^2) work (``_solve_level1``).  Higher levels lift each
+nonsingular mod-p point through its smooth fiber of exactly p^{2(k-1)}
+points instead of scanning p^{3k} triples.  ``_lift_all`` keeps a numpy
+chord-Newton over ``surface.solve_fiber``'s quadratic, for the coordinate
+that ``surface.unit_partial`` picks.  The O(p^{3k}) scan of every triple
+(``_brute_shard``) stays as the reference at every level.
 
 Sets are built and deduplicated by sorting, never by numpy's ``unique``,
 which on numpy 2.x hashes int64 input and runs tens of times slower.
-The scan and the lift produce each point once (scan shards cover disjoint
-x ranges, fibers over distinct mod-p points are disjoint), so they only
-sort; the orbit BFS, whose generator images collide, sorts and drops
-repeated neighbours.
+The solve, the scan and the lift produce each point once (distinct roots
+of one quadratic, distinct x rows, disjoint fibers over distinct mod-p
+points), so they only sort; the orbit BFS, whose generator images collide,
+sorts and drops repeated neighbours.
 
 Generator images evaluate ``surface.GENERATORS``, the one definition of the
 action, on residues mod M (numpy arrays in the orbit BFS, int triples in
@@ -27,16 +31,16 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .padic import PadicInt, sqrt
+from .padic import PadicInt, _check_odd_prime, sqrt
 from .surface import ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, unit_partial
 
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
 MAX_MODULUS = 1 << 21  # p^k must stay below this so codes < M^3 fit in int64
+SOLVE_BLOCK = 1 << 16  # (x, y) cells per block of the level-1 solve
 
 
 def _max_mem(explicit=None) -> int:
@@ -108,62 +112,95 @@ def _gen_maps(p: int, k: int, gens: str):
     return [_letter_func(g, p**k) for g in letters]
 
 
-def _brute_shard(args) -> np.ndarray:
-    p, k, d, x_lo, x_hi = args
+def _brute_shard(p: int, k: int, d: int) -> np.ndarray:
+    """Encoded nonsingular points mod p^k from a scan of every triple, x by x."""
     M = p**k
     y = np.repeat(np.arange(M, dtype=np.int64), M)
     z = np.tile(np.arange(M, dtype=np.int64), M)
     yz = (y * z) % M
     y2z2 = (y * y + z * z) % M
-    out = []
-    for x in range(x_lo, x_hi):
+    out = [np.empty(0, dtype=np.int64)]
+    for x in range(M):
         val = (x * x + y2z2 - x * yz) % M
-        mask = val == d % M
+        mask = val == d
         if not mask.any():
             continue
         ys, zs = y[mask], z[mask]
         nonsing = np.any(np.array(gradient(x, ys, zs)) % p != 0, axis=0)
-        if nonsing.any():
-            out.append(_encode(np.int64(x), ys[nonsing], zs[nonsing], M))
-    if not out:
-        return np.empty(0, dtype=np.int64)
+        out.append(_encode(np.int64(x), ys[nonsing], zs[nonsing], M))
+    return np.concatenate(out)
+
+
+def _block_rows(p: int) -> int:
+    """x rows per block of the level-1 solve: about SOLVE_BLOCK cells, at most p rows."""
+    return min(p, max(1, SOLVE_BLOCK // p))
+
+
+def _solve_level1(p: int, d: int) -> np.ndarray:
+    """Encoded nonsingular points mod p, z solved from its quadratic per (x, y).
+
+    The roots are z = (xy +- sqrt(disc)) / 2 with disc = (xy)^2 - 4(x^2 + y^2 - d),
+    read from one table of square roots mod p, which is complete only for
+    an odd prime p.  x runs in blocks of about SOLVE_BLOCK cells, so the work
+    arrays stay small while the codes grow to ~p^2.
+    """
+    _check_odd_prime(p)
+    t = np.arange(p, dtype=np.int64)
+    t2 = t * t
+    root = np.full(p, -1, dtype=np.int64)
+    root[t2 % p] = t
+    half = (p + 1) // 2
+    rows = _block_rows(p)
+    out = [np.empty(0, dtype=np.int64)]
+    for x0 in range(0, p, rows):
+        xy = t[x0 : x0 + rows, None] * t % p
+        r = root[(xy * xy - 4 * (t2[x0 : x0 + rows, None] + t2 - d)) % p]
+        i, y = np.nonzero(r >= 0)
+        x, xy, r = i + x0, xy[i, y], r[i, y]
+        two = r > 0  # a nonzero discriminant has two distinct roots
+        x, y = np.concatenate([x, x[two]]), np.concatenate([y, y[two]])
+        z = np.concatenate([xy + r, xy[two] - r[two]]) * half % p
+        nonsing = np.any(np.array(gradient(x, y, z)) % p != 0, axis=0)
+        out.append(_encode(x[nonsing], y[nonsing], z[nonsing], p))
     return np.concatenate(out)
 
 
 def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarray:
     """Sorted encoded points of the surface over Z/p^k.
 
-    mode "brute" scans all p^{3k} triples (sharded on the x coordinate),
-    mode "lift" builds levels k >= 2 from the mod-p points through their
-    smooth fibers; "auto" picks brute at k = 1 and lift above.
+    Mode "auto" solves the quadratic in z at k = 1 (O(p^2), p an odd prime)
+    and lifts above.  Mode "brute" scans all p^{3k} triples, the reference
+    at every level; mode "lift" builds levels k >= 2 from the mod-p points
+    through their smooth fibers.  Everything runs in this one process.
+    ``workers`` is accepted and ignored: ``perfbench/tracer.py`` passes it
+    by keyword and keys its scan timings on it, and the CLI's ``--workers``
+    is echoed in every report.
     """
     M = _code_modulus(p, k)
     d = D.residue_mod(k) if isinstance(D, PadicInt) else D % M
     budget = _max_mem(max_mem)
-    if mode == "auto":
-        mode = "brute" if k == 1 else "lift"
-    if mode == "brute":
-        # one process per shard, at most one per core, each with its own arrays
-        procs = max(1, min(workers, M, os.cpu_count() or 1))
-        need = procs * 8 * M * M * 4
+    if mode == "auto" and k == 1:
+        # int64 codes of up to two roots per (x, y), held twice while the
+        # blocks are joined, plus at most a dozen int64 work arrays per block
+        need = 8 * (4 * p * p + 12 * _block_rows(p) * p)
+        if need > budget:
+            raise ValueError(
+                f"budget exceeded: level-1 solve needs ~{need} bytes; "
+                "raise MARKOFF_PADIC_MAX_MEM"
+            )
+        points = _solve_level1(p, d)
+    elif mode == "brute":
+        need = 8 * M * M * 4
         if need > budget:
             raise ValueError(
                 f"budget exceeded: brute scan needs ~{need} bytes; "
                 "use mode='lift' (k >= 2) or raise MARKOFF_PADIC_MAX_MEM"
             )
-        shards = _x_shards(p, k, d, workers)
-        if procs > 1:
-            with ProcessPoolExecutor(max_workers=procs) as pool:
-                parts = list(pool.map(_brute_shard, shards))
-        else:
-            parts = [_brute_shard(s) for s in shards]
-        points = np.concatenate(parts)
-        points.sort()
-        return points
-    if mode == "lift":
+        points = _brute_shard(p, k, d)
+    elif mode in ("auto", "lift"):
         if k < 2:
             raise ValueError("lift mode needs k >= 2")
-        base = enumerate_points(p, 1, d % p, mode="brute", workers=workers)
+        base = enumerate_points(p, 1, d % p, max_mem=budget)
         fiber = p ** (2 * (k - 1))
         if 8 * len(base) * fiber * 4 > budget:
             raise ValueError(
@@ -171,14 +208,10 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
                 "bytes; raise MARKOFF_PADIC_MAX_MEM"
             )
         return _lift_all(base, p, k, d)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _x_shards(p, k, d, workers):
-    M = p**k
-    n = max(1, min(workers, M))
-    bounds = np.linspace(0, M, n + 1, dtype=int)
-    return [(p, k, d, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:])]
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    points.sort()
+    return points
 
 
 def _lift_all(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
@@ -210,7 +243,11 @@ def _lift_all(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
 
 
 def count_points(p, k, D, workers=1) -> dict:
-    """Cardinality of the level-k point set, with the p(p-3) formula check."""
+    """Cardinality of the level-k point set, with the p(p-3) formula check.
+
+    ``workers`` only reaches ``enumerate_points``, which ignores it; it is
+    passed on so the CLI's ``--workers`` still keys the tracer's timings.
+    """
     pts = enumerate_points(p, k, D, workers=workers)
     count = int(len(pts))
     d = D.residue_mod(1) if isinstance(D, PadicInt) else D % p
@@ -258,11 +295,11 @@ def _expand_orbit(points: np.ndarray, maps, seed_idx: int, visited) -> int:
     return size
 
 
-def orbits(p, k, D, gens="gamma", points=None, maps=None, workers=1) -> OrbitPartition:
+def orbits(p, k, D, gens="gamma", points=None, maps=None) -> OrbitPartition:
     """Partition of the level-k point set under the chosen generator family."""
     M = _code_modulus(p, k)
     if points is None:
-        points = enumerate_points(p, k, D, workers=workers)
+        points = enumerate_points(p, k, D)
     if maps is None:
         maps = _gen_maps(p, k, gens)
     visited = np.zeros(len(points), dtype=bool)
@@ -277,11 +314,11 @@ def orbits(p, k, D, gens="gamma", points=None, maps=None, workers=1) -> OrbitPar
     return part
 
 
-def check_transitivity(p, k, D, gens="aut", points=None, workers=1) -> bool:
+def check_transitivity(p, k, D, gens="aut", points=None) -> bool:
     """True iff the generator action has a single orbit at level k."""
     _code_modulus(p, k)
     if points is None:
-        points = enumerate_points(p, k, D, workers=workers)
+        points = enumerate_points(p, k, D)
     if len(points) == 0:
         return False
     maps = _gen_maps(p, k, gens)
@@ -290,14 +327,14 @@ def check_transitivity(p, k, D, gens="aut", points=None, workers=1) -> bool:
     return size == len(points)
 
 
-def check_orbit_divisibility(p, k, D, workers=1) -> dict:
+def check_orbit_divisibility(p, k, D) -> dict:
     """Verify p^k divides every Vieta-orbit size (p = 3 mod 4, D = 0 mod p^k)."""
     if p % 4 != 3 or p <= 3:
         raise ValueError("divisibility theorem needs p > 3 with p = 3 mod 4")
     d = D.residue_mod(k) if isinstance(D, PadicInt) else D % p**k
     if d != 0:
         raise ValueError("divisibility theorem needs D = 0 mod p^k")
-    part = orbits(p, k, 0, gens="gamma", workers=workers)
+    part = orbits(p, k, 0, gens="gamma")
     modulus = p**k
     sizes = sorted(part.orbit_sizes)
     return {

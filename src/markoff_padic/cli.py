@@ -79,7 +79,7 @@ def cmd_census(args) -> dict:
 
 def cmd_orbits(args) -> dict:
     d = parse_parameter(args.d, args.p, max(args.k, 1))
-    part = census.orbits(args.p, args.k, d, gens=args.gens, workers=args.workers)
+    part = census.orbits(args.p, args.k, d, gens=args.gens)
     divisibility = None
     if args.gens == "gamma" and args.p % 4 == 3 and args.p > 3:
         if d.residue_mod(args.k) == 0:
@@ -244,7 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--d", type=str, default="0", help="surface parameter D")
         sp.add_argument("--budget-words", type=int, default=8)
-        sp.add_argument("--workers", type=int, default=1)
+        sp.add_argument(
+            "--workers", type=int, default=1,
+            help="no effect; kept so reports stay byte-stable",
+        )
         sp.add_argument("--out", type=str, default=None, help="report path")
         if name == "orbits":
             sp.add_argument("--gens", choices=("gamma", "aut"), default="gamma")

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from markoff_padic import census
 from markoff_padic.census import (
     _bfs_exact,
     _decode,
@@ -20,6 +21,8 @@ from markoff_padic.census import (
 )
 from markoff_padic.padic import PadicInt
 from markoff_padic.surface import ALL_LETTERS, VIETA_LETTERS, is_point, lift_point
+
+ODD_PRIMES_BELOW_60 = [p for p in range(3, 60, 2) if all(p % q for q in range(3, p, 2))]
 
 
 def _brute_oracle(p, k, D):
@@ -90,24 +93,62 @@ def test_smooth_fiber_count():
         assert nk == n1 * p ** (2 * (k - 1))
 
 
-def test_sharded_enumeration_matches():
-    a = enumerate_points(7, 2, 0, mode="brute", workers=1)
-    b = enumerate_points(7, 2, 0, mode="brute", workers=3)
-    assert np.array_equal(a, b)
-
-
 def test_enumeration_strictly_increasing():
-    # the scan and the lift return their points sorted but never deduplicate:
-    # each point must come out exactly once
+    # the solve, the scan and the lift return their points sorted but never
+    # deduplicate: each point must come out exactly once
+    runs = [((5, 1, 0), "auto"), ((13, 1, 4), "auto"), ((11, 1, 0), "brute")]
     for (p, k, D) in ((5, 2, 3), (7, 3, 0), (11, 2, 0), (13, 2, 0)):
-        runs = [
-            enumerate_points(p, k, D, mode="brute", workers=1),
-            enumerate_points(p, k, D, mode="brute", workers=3),
-            enumerate_points(p, k, D, mode="lift"),
-        ]
-        for pts in runs:
-            assert pts.dtype == np.int64 and len(pts) > 0
-            assert np.all(np.diff(pts) > 0), (p, k, D)
+        runs += [((p, k, D), "brute"), ((p, k, D), "lift")]
+    for (p, k, D), mode in runs:
+        pts = enumerate_points(p, k, D, mode=mode)
+        assert pts.dtype == np.int64 and len(pts) > 0
+        assert np.all(np.diff(pts) > 0), (p, k, D, mode)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.sampled_from(ODD_PRIMES_BELOW_60),
+    lift=st.integers(-(10**9), 10**9),
+    precision=st.integers(1, 3),
+)
+def test_level1_solve_matches_brute_scan(p, lift, precision):
+    # the O(p^2) solve against the O(p^3) scan, for every D mod p, with D
+    # given as an int and as a PadicInt of any precision
+    for d in range(p):
+        ref = enumerate_points(p, 1, d, mode="brute")
+        value = d + p * lift
+        for D in (value, PadicInt(p, precision, value)):
+            got = enumerate_points(p, 1, D)
+            assert got.dtype == np.int64 and np.all(np.diff(got) > 0)
+            assert np.array_equal(got, ref), (p, d, D)
+
+
+def test_level1_solve_needs_an_odd_prime():
+    # a root table mod a composite misses roots, so the solve refuses
+    with pytest.raises(ValueError, match="odd prime"):
+        enumerate_points(9, 1, 0)
+    assert np.array_equal(enumerate_points(9, 1, 0, mode="brute"), _brute_oracle(9, 1, 0))
+
+
+def test_level1_budget_boundaries():
+    # the solve at p = 5: 8 * (4 * 25 + 12 * 5 * 5) = 3200 bytes; the
+    # one-process scan: 8 * 25 * 4 = 800 bytes
+    enumerate_points(5, 1, 0, max_mem=3200)
+    with pytest.raises(ValueError, match="solve needs ~3200 bytes"):
+        enumerate_points(5, 1, 0, max_mem=3199)
+    enumerate_points(5, 1, 0, mode="brute", max_mem=800)
+    with pytest.raises(ValueError, match="scan needs ~800 bytes"):
+        enumerate_points(5, 1, 0, mode="brute", max_mem=799)
+    # the lift's base is the solve under the same budget
+    with pytest.raises(ValueError, match="solve needs"):
+        enumerate_points(5, 2, 0, mode="lift", max_mem=3199)
+
+
+def test_level1_count_reaches_large_p():
+    # p(p + 3 * (-1|p)) at D = 0, in well under a second each under the
+    # default budget: 1447 = 3 mod 4, 1453 = 1 mod 4
+    assert count_points(1447, 1, 0)["count"] == 2_089_468
+    assert count_points(1453, 1, 0)["count"] == 2_115_568
 
 
 def test_sorted_distinct_matches_unique():
@@ -153,44 +194,6 @@ def test_code_range_guard():
     assert 127**3 < 2**21
     with pytest.raises(ValueError, match="budget exceeded"):
         enumerate_points(127, 3, 0, max_mem=10**6)
-
-
-def test_brute_pool_bounded_by_cores_and_budget_per_process(monkeypatch):
-    # a fake pool records its size and maps in-process, so no process starts
-    pools = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            self.size = max_workers
-            self.shards = 0
-
-        def __enter__(self):
-            pools.append(self)
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, shards):
-            shards = list(shards)
-            self.shards = len(shards)
-            return map(fn, shards)
-
-    monkeypatch.setattr(census, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
-    ref = enumerate_points(5, 1, 0, workers=1)
-    assert pools == []
-    got = enumerate_points(5, 1, 0, workers=100_000)
-    assert (pools[-1].size, pools[-1].shards) == (4, 5)  # 5 shards, one per x
-    assert np.array_equal(got, ref)
-    enumerate_points(5, 1, 0, workers=3)
-    assert (pools[-1].size, pools[-1].shards) == (3, 3)
-    # each of the 4 processes holds 8 * M^2 * 4 = 800 bytes of scan arrays
-    enumerate_points(5, 1, 0, workers=100_000, max_mem=3200)
-    with pytest.raises(ValueError, match="needs ~3200 bytes"):
-        enumerate_points(5, 1, 0, workers=100_000, max_mem=3199)
-    assert len(pools) == 3
-    enumerate_points(5, 1, 0, workers=1, max_mem=800)
 
 
 def test_budget_errors():
