@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from . import census
-from .chebyshev import Mat2, chebyshev_T_at, rotation_order
+from .chebyshev import Mat2, chebyshev_T_at, companion_power_mod, rotation_order
 from .flow import local_minimality_det, twisted_minimality_det
 from .padic import PadicInt, legendre, sqrt
 from .polydisk import PolydiskChart, parametrize, recentre
@@ -158,34 +158,12 @@ def strict_move_search(pt: SurfacePoint, budget: int = 8):
     raise ValueError("no strict move found")
 
 
-def _companion_power_mod(x: np.ndarray, n: int, M: int):
-    """Entries (a11, a12, a21, a22) of C(x)^n mod M for each x, by binary powers.
-
-    Entries stay in [0, M) and M < 2^21, so the sums of products stay below
-    2^43 in int64.
-    """
-    def mul(A, B):
-        a, b, c, d = A
-        e, f, g, h = B
-        return ((a * e + b * g) % M, (a * f + b * h) % M,
-                (c * e + d * g) % M, (c * f + d * h) % M)
-
-    one, zero = np.ones_like(x), np.zeros_like(x)
-    out, base = (one, zero, zero, one), (x, np.full_like(x, M - 1), one, zero)
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
-    return out
-
-
 def _residue_word(word: AutWord, coords, M: int):
     """A word on residue arrays mod M, rightmost run first.
 
-    A Vieta run is one companion power (``surface.run_action``); a single
-    letter goes through the generator table.
+    A Vieta run is one companion power ``companion_power_mod`` on the
+    coordinates ``surface.run_action`` names; a single letter goes through
+    the generator table.
     """
     for run in reversed(word.runs):
         pair, n = run
@@ -193,7 +171,7 @@ def _residue_word(word: AutWord, coords, M: int):
             coords = census._residue_action(pair[0], M)(*coords)
             continue
         fixed, source, target, e = run_action(run)
-        a11, a12, a21, a22 = _companion_power_mod(coords[fixed], e, M)
+        a11, a12, a21, a22 = companion_power_mod(coords[fixed], e, M)
         u, v = (coords[i] for i in source)
         coords = list(coords)
         coords[target[0]] = (a11 * u + a12 * v) % M
@@ -231,7 +209,8 @@ def certification_route(p: int, k: int, D) -> str:
     """Check that (p, K, D) is admissible and name its certification route.
 
     Admissible: p > 3, K >= 3, p^2 < 2^21 (residual transitivity codes
-    points mod p^2 in int64), and either D = 0 mod p^2 ("arbitrary-point")
+    points mod p^2 in int64 and runs ``companion_power_mod`` on int64
+    residue arrays), and either D = 0 mod p^2 ("arbitrary-point")
     or (D-4) a nonzero quadratic residue mod p ("special-point"); p = 5 with
     D = 3 mod 5 takes the "exceptional-p5" route.  Anything else raises.
     """
@@ -239,6 +218,8 @@ def certification_route(p: int, k: int, D) -> str:
         raise ValueError("certification requires p > 3")
     if k < 3:
         raise ValueError("precision >= 3 required")
+    # p^2 < 2^21: int64 point codes mod p^2, and the int64 precondition
+    # given in the companion_power_mod docstring
     census._code_modulus(p, 2)
     D = _coerce_D(D, p, k)
     if p == 5 and D.residue_mod(1) == 3:

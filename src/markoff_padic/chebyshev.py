@@ -4,8 +4,10 @@ The two families T_N, U_N satisfy the recurrence f_N = x f_{N-1} - f_{N-2}
 with initials (T_{-1}, T_0) = (x, 2) and (U_{-1}, U_0) = (0, 1), and the
 symmetries T_{-N} = T_N, U_{-N-2} = -U_N.  The companion matrix
 C(x) = [[x, -1], [1, 0]] has C(x)^N = [[U_N, -U_{N-1}], [U_{N-1}, -U_{N-2}]],
-so T_N(x) = trace C(x)^N; large powers are always evaluated by binary
-exponentiation on matrices, never expanded symbolically.
+so T_N(x) = trace C(x)^N.  Large powers are never expanded symbolically:
+they are binary powers on residues mod p^K through one kernel,
+`companion_power_mod`, which runs on a Python int (``companion_power`` on a
+PadicInt) or on an int64 array of residues (the certificate's residue words).
 """
 
 from __future__ import annotations
@@ -135,18 +137,6 @@ class Mat2:
     def scale(self, c: PadicInt | int) -> "Mat2":
         return Mat2(self.a11 * c, self.a12 * c, self.a21 * c, self.a22 * c)
 
-    def power(self, n: int) -> "Mat2":
-        if n < 0:
-            raise ValueError("negative matrix powers not supported")
-        result = Mat2.identity(self.a11.prime, self.a11.precision)
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result
-
     def det(self) -> PadicInt:
         return self.a11 * self.a22 - self.a12 * self.a21
 
@@ -204,9 +194,39 @@ def companion(x: PadicInt) -> Mat2:
     return Mat2(x, PadicInt(p, k, -1), PadicInt(p, k, 1), PadicInt(p, k, 0))
 
 
+def companion_power_mod(x, n: int, M: int):
+    """Entries (a11, a12, a21, a22) of C(x)^n mod M, by binary powers.
+
+    Duck-typed: ``x`` is a Python int or an int64 numpy array of residues in
+    [0, M), and the entries come back in the same form, each in [0, M).  On
+    int64 arrays M must stay below 2^21: every entry is then below 2^21, so
+    each sum of two products stays below 2^43.  Negative n is refused.
+    """
+    if n < 0:
+        raise ValueError("negative matrix powers not supported")
+
+    def mul(A, B):
+        a, b, c, d = A
+        e, f, g, h = B
+        return ((a * e + b * g) % M, (a * f + b * h) % M,
+                (c * e + d * g) % M, (c * f + d * h) % M)
+
+    zero = x * 0
+    one = zero + 1
+    out, base = (one, zero, zero, one), (x, zero + (M - 1), one, zero)
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
+
+
 def companion_power(x: PadicInt, n: int) -> Mat2:
-    """C(x)^n by binary exponentiation."""
-    return companion(x).power(n)
+    """C(x)^n at the precision of x, by the residue kernel ``companion_power_mod``."""
+    p, k = x.prime, x.precision
+    return Mat2(*(PadicInt(p, k, e) for e in companion_power_mod(x.residue, n, x.modulus)))
 
 
 def chebyshev_T_at(x: PadicInt, n: int) -> PadicInt:

@@ -2,7 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from markoff_padic.chebyshev import (
     Mat2,
@@ -15,6 +18,7 @@ from markoff_padic.chebyshev import (
     companion_derivative_border,
     companion_derivative_formula,
     companion_power,
+    companion_power_mod,
     fixed_point_Tp,
     rotation_order,
     verify_companion_estimates,
@@ -81,6 +85,39 @@ def test_companion_power_examples():
     c4 = companion_power(x, 4)
     assert c4.congruent_to(m)
     assert [e.residue for e in c4.entries()] == [55, (-21) % 121, 21, (-8) % 121]
+
+
+@st.composite
+def _companion_cases(draw):
+    p = draw(st.sampled_from((5, 7, 11, 13, 199, 1447)))
+    k = draw(st.integers(1, 6))
+    x = PadicInt(p, k, draw(st.integers(0, p**k - 1)))
+    return x, draw(st.integers(0, 299)), draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_companion_cases(), st.integers(-10**6, -1))
+def test_companion_power_kernel_properties(case, negative):
+    x, n, a, b = case
+    p, k = x.prime, x.precision
+    # oracle: the repeated PadicInt product C(x) @ ... @ C(x)
+    m = Mat2.identity(p, k)
+    for _ in range(n):
+        m = m @ companion(x)
+    assert companion_power(x, n).entries() == m.entries()
+    ca, cb = companion_power(x, a), companion_power(x, b)
+    assert (ca @ cb).entries() == companion_power(x, a + b).entries()
+    assert ca.det() == PadicInt(p, k, 1)
+    with pytest.raises(ValueError, match="negative"):
+        companion_power(x, negative)
+    with pytest.raises(ValueError, match="negative"):
+        companion_power_mod(x.residue, negative, x.modulus)
+    # the int64 array path against the int path, inside the int64 precondition
+    if x.modulus < 2**21:
+        got = companion_power_mod(np.array([x.residue], dtype=np.int64), a, x.modulus)
+        want = companion_power_mod(x.residue, a, x.modulus)
+        assert all(e.dtype == np.int64 for e in got)
+        assert [int(e[0]) for e in got] == list(want)
 
 
 def test_companion_entries_match_U_formula():
