@@ -1,7 +1,9 @@
 """Counting points over Z/p^k and partitioning them into orbits.
 
-Level 1 comes from a vectorized brute scan; higher levels lift each
-nonsingular mod-p point through its smooth fiber of p^{2(k-1)} points.
+Level 1 solves the quadratic in z for every (x, y) from one table of
+square roots mod p; higher levels lift each nonsingular mod-p point through
+its smooth fiber of p^{2(k-1)} points.  Aut orbits are Vieta orbits joined
+by the 24 sign changes and coordinate permutations.
 For p = 3 mod 4 and D = 0 the census confirms the p(p-3) count and the
 p^k-divisibility of every Vieta orbit.  The closing table checks that Aut
 acts transitively on X_0*(Z/p^2) for every prime 5 <= p < 50 (p = 47 has

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from markoff_padic.census import (
     _bfs_exact,
     _decode,
+    _encode,
     _gen_maps,
     _sorted_distinct,
     check_orbit_divisibility,
@@ -18,9 +19,16 @@ from markoff_padic.census import (
     enumerate_points,
     finite_orbit_catalog,
     orbits,
+    residue_bfs,
 )
 from markoff_padic.padic import PadicInt
-from markoff_padic.surface import ALL_LETTERS, VIETA_LETTERS, is_point, lift_point
+from markoff_padic.surface import (
+    ALL_LETTERS,
+    GENERATORS,
+    VIETA_LETTERS,
+    is_point,
+    lift_point,
+)
 
 ODD_PRIMES_BELOW_60 = [p for p in range(3, 60, 2) if all(p % q for q in range(3, p, 2))]
 
@@ -245,13 +253,96 @@ def test_singleton_generator_orbit_sizes():
 
 def test_orbit_sizes_match_tuple_bfs():
     # the vectorized BFS against the pure-python set BFS from each representative
-    cases = ((7, 2, 0, "gamma"), (7, 2, 0, "aut"), (5, 2, 3, "aut"), (11, 2, 0, "gamma"))
+    # the last three have several orbits, and their Aut orbits join several
+    # Vieta orbits
+    cases = (
+        (7, 2, 0, "gamma"),
+        (7, 2, 0, "aut"),
+        (5, 2, 3, "aut"),
+        (11, 2, 0, "gamma"),
+        (7, 1, 1, "aut"),
+        (7, 2, 4, "aut"),
+        (13, 2, 4, "gamma"),
+    )
     for (p, k, D, gens) in cases:
         part = orbits(p, k, D, gens=gens)
         letters = VIETA_LETTERS if gens == "gamma" else ALL_LETTERS
         assert sum(part.orbit_sizes) == part.total == len(enumerate_points(p, k, D))
         for rep, size in zip(part.representatives, part.orbit_sizes):
             assert _bfs_exact(rep, p, k, letters) == size, (p, k, D, gens, rep)
+
+
+# letter -> the Vieta letter h s_a h equals, for h each of H's six letters
+_CONJUGATES = {
+    "ex": {"sx": "sx", "sy": "sy", "sz": "sz"},
+    "ey": {"sx": "sx", "sy": "sy", "sz": "sz"},
+    "ez": {"sx": "sx", "sy": "sy", "sz": "sz"},
+    "pxy": {"sx": "sy", "sy": "sx", "sz": "sz"},
+    "pyz": {"sx": "sx", "sy": "sz", "sz": "sy"},
+    "pzx": {"sx": "sz", "sy": "sy", "sz": "sx"},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.integers(-(10**12), 10**12)] * 3))
+def test_symmetries_normalize_vieta(t):
+    # the identity the Aut BFS rests on: each sign change and transposition
+    # is an involution and conjugates {sx, sy, sz} onto itself
+    assert set(_CONJUGATES) == set(ALL_LETTERS) - set(VIETA_LETTERS)
+    for h, conj in _CONJUGATES.items():
+        act = GENERATORS[h]
+        assert act(*act(*t)) == t
+        for a, b in conj.items():
+            assert act(*GENERATORS[a](*act(*t))) == GENERATORS[b](*t), (h, a, t)
+
+
+_SMALL_ODD_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23]
+
+
+@st.composite
+def _classes(draw):
+    p = draw(st.sampled_from(_SMALL_ODD_PRIMES))
+    k = draw(st.sampled_from((1, 2, 3) if p <= 7 else (1, 2)))
+    return p, k, draw(st.integers(0, p**k - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_classes())
+def test_aut_orbits_match_nine_letter_bfs(case):
+    # Vieta orbits joined by H against the plain BFS of all nine letters,
+    # which an explicit maps list runs
+    p, k, D = case
+    pts = enumerate_points(p, k, D)
+    joined = orbits(p, k, D, "aut")
+    plain = orbits(p, k, D, points=pts, maps=_gen_maps(p, k, "aut"))
+    assert joined.orbit_sizes == plain.orbit_sizes
+    assert joined.representatives == plain.representatives
+    assert check_transitivity(p, k, D, "aut") == (len(plain.orbit_sizes) == 1)
+
+
+def test_aut_escape_check_survives_the_joins():
+    # at (7, 1, 1) the Vieta orbits have sizes 2, 2, 72, 2 and Aut joins the
+    # three of size 2.  The 72-point orbit plus the orbit of (1, 0, 0) is
+    # closed under the Vieta maps but not under H: pxy sends (1, 0, 0) to
+    # (0, 1, 0), which is left out
+    p, k, D = 7, 1, 1
+    assert orbits(p, k, D, "gamma").orbit_sizes == [2, 2, 72, 2]
+    assert orbits(p, k, D, "aut").orbit_sizes == [6, 72]
+    subset = np.array(
+        sorted(
+            _encode(*t, p)
+            for start in ((1, 0, 0), (2, 2, 0))
+            for t, _ in residue_bfs(start, p, VIETA_LETTERS)
+        ),
+        dtype=np.int64,
+    )
+    assert len(subset) == 74
+    with pytest.raises(RuntimeError, match="generator image escaped the point set"):
+        orbits(p, k, D, gens="aut", points=subset)
+    with pytest.raises(RuntimeError, match="generator image escaped the point set"):
+        check_transitivity(p, k, D, "aut", points=subset)
+    # under the Vieta maps alone the subset is closed
+    assert orbits(p, k, D, gens="gamma", points=subset).orbit_sizes == [2, 72]
 
 
 def test_transitivity_examples():
