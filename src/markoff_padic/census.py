@@ -31,8 +31,10 @@ letters generate a group H of order 24 that normalizes the Vieta group, so
 an Aut orbit is the union of the Vieta orbits of the H-images of one
 point: after a Vieta orbit is expanded, H's letters act on its seed alone
 and each unvisited image seeds a further Vieta orbit (``orbits`` gives the
-argument).  The next orbit's seed, the least unvisited index, comes from
-one vectorized forward scan of the visited flags.
+argument).  ``partition`` is the seed loop for any sorted set and maps
+(``certify`` runs it on chart residues): the next orbit's seed, the least
+unvisited index, comes from one vectorized forward scan of the visited
+flags.  A request over the memory budget raises ``BudgetError``.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ MAX_MODULUS = 1 << 21  # p^k must stay below this so codes < M^3 fit in int64
 SOLVE_BLOCK = 1 << 16  # (x, y) cells per block of the level-1 solve
 
 
+class BudgetError(ValueError):
+    """A computation refused up front: its byte estimate exceeds the memory budget."""
+
+
 def _max_mem(explicit=None) -> int:
     if explicit is not None:
         return explicit
@@ -65,6 +71,15 @@ def _max_mem(explicit=None) -> int:
             raw = raw[:-1]
             break
     return int(raw) * mult
+
+
+def check_budget(need: int, what: str, max_mem=None, advice: str = "") -> None:
+    """Raise ``BudgetError`` when ``what`` needs more than ``_max_mem(max_mem)`` bytes."""
+    if need > _max_mem(max_mem):
+        raise BudgetError(
+            f"budget exceeded: {what} needs ~{need} bytes; "
+            f"{advice}raise MARKOFF_PADIC_MAX_MEM"
+        )
 
 
 def _code_modulus(p: int, k: int) -> int:
@@ -203,35 +218,21 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
     """
     M = _code_modulus(p, k)
     d = D.residue_mod(k) if isinstance(D, PadicInt) else D % M
-    budget = _max_mem(max_mem)
     if mode == "auto" and k == 1:
         # int64 codes of up to two roots per (x, y), held twice while the
         # blocks are joined, plus at most a dozen int64 work arrays per block
         need = 8 * (4 * p * p + 12 * _block_rows(p) * p)
-        if need > budget:
-            raise ValueError(
-                f"budget exceeded: level-1 solve needs ~{need} bytes; "
-                "raise MARKOFF_PADIC_MAX_MEM"
-            )
+        check_budget(need, "level-1 solve", max_mem)
         points = _solve_level1(p, d)
     elif mode == "brute":
-        need = 8 * M * M * 4
-        if need > budget:
-            raise ValueError(
-                f"budget exceeded: brute scan needs ~{need} bytes; "
-                "use mode='lift' (k >= 2) or raise MARKOFF_PADIC_MAX_MEM"
-            )
+        check_budget(8 * M * M * 4, "brute scan", max_mem, "use mode='lift' (k >= 2) or ")
         points = _brute_shard(p, k, d)
     elif mode in ("auto", "lift"):
         if k < 2:
             raise ValueError("lift mode needs k >= 2")
-        base = enumerate_points(p, 1, d % p, max_mem=budget)
+        base = enumerate_points(p, 1, d % p, max_mem=max_mem)
         fiber = p ** (2 * (k - 1))
-        if 8 * len(base) * fiber * 4 > budget:
-            raise ValueError(
-                f"budget exceeded: lifting needs ~{8 * len(base) * fiber * 4} "
-                "bytes; raise MARKOFF_PADIC_MAX_MEM"
-            )
+        check_budget(8 * len(base) * fiber * 4, "lifting", max_mem)
         return _lift_all(base, p, k, d)
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -346,9 +347,8 @@ def orbits(p, k, D, gens="gamma", points=None, maps=None) -> OrbitPartition:
     and every unvisited image seeds a further Vieta orbit of the same Aut
     orbit; those seeds are expanded and mapped by H in turn.  Every image
     is still located in the point set: an H-image of a non-seed point lies
-    in a Vieta orbit that is expanded, and so checked, in full.  The next
-    seed is the least unvisited index, found by one forward scan of
-    ``visited`` per orbit.
+    in a Vieta orbit that is expanded, and so checked, in full.  The seeds
+    are the least unvisited indices (``partition``).
     """
     M = _code_modulus(p, k)
     if points is None:
@@ -356,18 +356,28 @@ def orbits(p, k, D, gens="gamma", points=None, maps=None) -> OrbitPartition:
     joins = ()
     if maps is None:
         maps, joins = _vieta_and_joins(p, k, gens)
+    sizes, seeds = partition(points, maps, joins)
+    reps = list(zip(*(c.tolist() for c in _decode(points[seeds], M))))
+    return OrbitPartition(p, k, gens, int(len(points)), sizes, reps)
+
+
+def partition(points: np.ndarray, maps, joins=()) -> tuple[list[int], list[int]]:
+    """Orbit sizes and seed indices of the sorted ``points`` under ``maps``.
+
+    Each orbit is expanded by ``_expand_orbit`` (the BFS under ``maps``,
+    its rounds joined by ``joins``) from its seed, the least unvisited
+    index, found by one forward scan of the visited flags per orbit.
+    """
     visited = np.zeros(len(points), dtype=bool)
-    part = OrbitPartition(p=p, level=k, gens=gens, total=int(len(points)))
+    sizes, seeds = [], []
     seed = 0
     while seed < len(points):
-        size = _expand_orbit(points, maps, seed, visited, joins)
-        part.orbit_sizes.append(int(size))
-        x, y, z = _decode(points[seed], M)
-        part.representatives.append((int(x), int(y), int(z)))
+        sizes.append(int(_expand_orbit(points, maps, seed, visited, joins)))
+        seeds.append(seed)
         seed += int(np.argmin(visited[seed:]))  # the first False, or 0 if none
         if visited[seed]:
             break
-    return part
+    return sizes, seeds
 
 
 def check_transitivity(p, k, D, gens="aut", points=None) -> bool:

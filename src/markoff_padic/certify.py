@@ -5,12 +5,14 @@ route of an admissible (p, K, D).  The certificate is then built in four
 stages: a base point whose polydisk supports the analysis with its chart
 recentred at T_p-fixed coordinates (`base_point_chart`), a strict move (a
 Vieta word displacing the base point by exactly p^{-1}), residual
-transitivity (a census orbit count of the stabilizers and the strict move on
-the polydisk mod p^2, the smooth fiber of p^2 points over the base), and a
+transitivity (the stabilizers and the strict move act on the polydisk mod
+p^2, the smooth fiber of p^2 points over the base, as affine maps of the
+chart residues F_p^2, and ``census.partition`` counts their orbits), and a
 unit minimal-subdisk determinant.  The first stage that fails is recorded
-as "stage: reason" and ends the run.  Certificates are deterministic and
-replayable: re-running the pipeline on the recorded parameters must
-reproduce every recorded value.
+as "stage: reason" and ends the run; a refusal by the memory budget
+(``census.BudgetError``) is a usage error and propagates.  Certificates are
+deterministic and replayable: re-running the pipeline on the recorded
+parameters must reproduce every recorded value.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import numpy as np
 
 from . import census
-from .chebyshev import Mat2, chebyshev_T_at, companion_power_mod, rotation_order
+from .chebyshev import Mat2, chebyshev_T_at, rotation_order
 from .flow import local_minimality_det, twisted_minimality_det
 from .padic import PadicInt, legendre, sqrt
 from .polydisk import PolydiskChart, parametrize, recentre
@@ -37,7 +39,6 @@ from .surface import (
     lift_point,
     reduce_point,
     rotation,
-    run_action,
     unit_partial,
 )
 
@@ -158,49 +159,51 @@ def strict_move_search(pt: SurfacePoint, budget: int = 8):
     raise ValueError("no strict move found")
 
 
-def _residue_word(word: AutWord, coords, M: int):
-    """A word on residue arrays mod M, rightmost run first.
+def _affine_tables(chart: PolydiskChart, words) -> list[np.ndarray]:
+    """Each word on the index codes u + p v of chart residues mod p, as a table.
 
-    A Vieta run is one companion power ``companion_power_mod`` on the
-    coordinates ``surface.run_action`` names; a single letter goes through
-    the generator table.
+    A word acts on chart residues as t -> A t + b (``residual_transitivity``):
+    b is the chart image of (0, 0) mod p, and the columns of A are the images
+    of (1, 0) and (0, 1) minus b.  The images are ``chart.apply_word_uv``'s,
+    with the three chart points computed once for all the words.
     """
-    for run in reversed(word.runs):
-        pair, n = run
-        if n == 1:
-            coords = census._residue_action(pair[0], M)(*coords)
-            continue
-        fixed, source, target, e = run_action(run)
-        a11, a12, a21, a22 = companion_power_mod(coords[fixed], e, M)
-        u, v = (coords[i] for i in source)
-        coords = list(coords)
-        coords[target[0]] = (a11 * u + a12 * v) % M
-        coords[target[1]] = (a21 * u + a22 * v) % M
-    return coords
+    p = chart.prime
+    fit = [chart.psi(*chart.uv(u, v)) for u, v in ((0, 0), (1, 0), (0, 1))]
+    codes = np.arange(p * p, dtype=np.int64)
+    u, v = codes % p, codes // p
+    tables = []
+    for word in words:
+        b, e1, e2 = (
+            [c.residue % p for c in chart.psi_inv(apply_word(word, pt))] for pt in fit
+        )
+        u2, v2 = ((b[i] + (e1[i] - b[i]) * u + (e2[i] - b[i]) * v) % p for i in (0, 1))
+        tables.append(u2 + p * v2)
+    return tables
 
 
 def residual_transitivity(chart: PolydiskChart, words) -> dict:
-    """Census orbit count of the words on the chart polydisk mod p^2.
+    """Orbits of the words on the chart polydisk mod p^2, as affine maps of F_p^2.
 
-    The polydisk mod p^2 is the smooth fiber of p^2 points over the base
-    (``census._lift_all``); every word must map it to itself.  The report
+    The chart map psi(t) = base + p J t mod p^2, t = (u, v) mod p and J its
+    Jacobian at 0, is the smooth fiber of p^2 points over the base mod p.  A
+    word w fixing the base mod p sends it to w(base) + p Dw(base) J t mod
+    p^2, which is affine in t mod p: w acts on chart residues as
+    t -> A t + b, and three images fit it (``_affine_tables``).  Because w
+    is a bijection of the fiber, A is invertible.  ``census.partition``
+    partitions the p^2 index codes u + p v under these maps, once a byte
+    estimate of the arrays is within MARKOFF_PADIC_MAX_MEM.  The report
     carries the orbit sizes; the verdict is a single orbit.
     """
     p = chart.prime
-    M = census._code_modulus(p, 2)
-    base = census._encode(*chart.base.residues(1), p)
-    disk = census._lift_all([base], p, 2, chart.base.D.residue_mod(2))
-    maps = []
-    for word in words:
-        image = census._encode(*_residue_word(word, census._decode(disk, M), M), M)
-        # an index past the end wraps to disk[0], which is below such an image
-        if np.any(disk[np.searchsorted(disk, image) % disk.size] != image):
-            raise ValueError("leaves polydisk")
-        maps.append(lambda codes, image=image: image[np.searchsorted(disk, codes)])
-    part = census.orbits(p, 2, chart.base.D, points=disk, maps=maps)
+    # tracemalloc peaks at p = 211, 1447 and 1453 with 2 to 4 words: 40 + 8
+    # bytes per residue and word while the tables are built; a word's BFS
+    # images add about 9 more while the orbits are expanded
+    census.check_budget((48 + 16 * len(words)) * p * p, "residual partition")
+    maps = [table.__getitem__ for table in _affine_tables(chart, words)]
+    sizes, _ = census.partition(np.arange(p * p, dtype=np.int64), maps)
     return {
-        "transitive": part.transitive,
-        "orbit_sizes": sorted(part.orbit_sizes),
+        "transitive": len(sizes) == 1,
+        "orbit_sizes": sorted(sizes),
         "generators": [str(w) for w in words],
     }
 
@@ -208,9 +211,7 @@ def residual_transitivity(chart: PolydiskChart, words) -> dict:
 def certification_route(p: int, k: int, D) -> str:
     """Check that (p, K, D) is admissible and name its certification route.
 
-    Admissible: p > 3, K >= 3, p^2 < 2^21 (residual transitivity codes
-    points mod p^2 in int64 and runs ``companion_power_mod`` on int64
-    residue arrays), and either D = 0 mod p^2 ("arbitrary-point")
+    Admissible: p > 3, K >= 3, and either D = 0 mod p^2 ("arbitrary-point")
     or (D-4) a nonzero quadratic residue mod p ("special-point"); p = 5 with
     D = 3 mod 5 takes the "exceptional-p5" route.  Anything else raises.
     """
@@ -218,9 +219,6 @@ def certification_route(p: int, k: int, D) -> str:
         raise ValueError("certification requires p > 3")
     if k < 3:
         raise ValueError("precision >= 3 required")
-    # p^2 < 2^21: int64 point codes mod p^2, and the int64 precondition
-    # given in the companion_power_mod docstring
-    census._code_modulus(p, 2)
     D = _coerce_D(D, p, k)
     if p == 5 and D.residue_mod(1) == 3:
         return "exceptional-p5"
@@ -368,6 +366,8 @@ def certify_minimal_polydisk(
         cert["minimal_subdisk"] = _minimal_subdisk(chart, route, powers)
         if not cert["minimal_subdisk"]["unit"]:
             raise ValueError("determinant not a unit")
+    except census.BudgetError:
+        raise  # a usage error, like an inadmissible (p, K, D)
     except ValueError as exc:
         cert["stage_failures"].append(f"{stage}: {exc}")
         return cert

@@ -5,9 +5,8 @@ with initials (T_{-1}, T_0) = (x, 2) and (U_{-1}, U_0) = (0, 1), and the
 symmetries T_{-N} = T_N, U_{-N-2} = -U_N.  The companion matrix
 C(x) = [[x, -1], [1, 0]] has C(x)^N = [[U_N, -U_{N-1}], [U_{N-1}, -U_{N-2}]],
 so T_N(x) = trace C(x)^N.  Large powers are never expanded symbolically:
-they are binary powers on residues mod p^K through one kernel,
-`companion_power_mod`, which runs on a Python int (``companion_power`` on a
-PadicInt) or on an int64 array of residues (the certificate's residue words).
+``companion_power`` takes binary powers on the residues mod p^K, in plain
+int arithmetic, and wraps the four entries as PadicInt.
 """
 
 from __future__ import annotations
@@ -194,16 +193,14 @@ def companion(x: PadicInt) -> Mat2:
     return Mat2(x, PadicInt(p, k, -1), PadicInt(p, k, 1), PadicInt(p, k, 0))
 
 
-def companion_power_mod(x, n: int, M: int):
-    """Entries (a11, a12, a21, a22) of C(x)^n mod M, by binary powers.
+def companion_power(x: PadicInt, n: int) -> Mat2:
+    """C(x)^n at the precision of x, by binary powers on the residues mod p^K.
 
-    Duck-typed: ``x`` is a Python int or an int64 numpy array of residues in
-    [0, M), and the entries come back in the same form, each in [0, M).  On
-    int64 arrays M must stay below 2^21: every entry is then below 2^21, so
-    each sum of two products stays below 2^43.  Negative n is refused.
+    Negative n is refused.
     """
     if n < 0:
         raise ValueError("negative matrix powers not supported")
+    M = x.modulus
 
     def mul(A, B):
         a, b, c, d = A
@@ -211,22 +208,14 @@ def companion_power_mod(x, n: int, M: int):
         return ((a * e + b * g) % M, (a * f + b * h) % M,
                 (c * e + d * g) % M, (c * f + d * h) % M)
 
-    zero = x * 0
-    one = zero + 1
-    out, base = (one, zero, zero, one), (x, zero + (M - 1), one, zero)
+    out, base = (1, 0, 0, 1), (x.residue, M - 1, 1, 0)
     while n:
         if n & 1:
             out = mul(out, base)
         n >>= 1
         if n:
             base = mul(base, base)
-    return out
-
-
-def companion_power(x: PadicInt, n: int) -> Mat2:
-    """C(x)^n at the precision of x, by the residue kernel ``companion_power_mod``."""
-    p, k = x.prime, x.precision
-    return Mat2(*(PadicInt(p, k, e) for e in companion_power_mod(x.residue, n, x.modulus)))
+    return Mat2(*(PadicInt(x.prime, x.precision, e) for e in out))
 
 
 def chebyshev_T_at(x: PadicInt, n: int) -> PadicInt:

@@ -59,21 +59,16 @@ class PolydiskChart:
 
     def psi_inv(self, pt: SurfacePoint) -> tuple[PadicInt, PadicInt]:
         """Chart coordinates of a point of the polydisk (one digit less)."""
-        d1 = pt.y - self.base.y
-        d2 = pt.z - self.base.z
-        if d1.residue % self.prime or d2.residue % self.prime:
+        if not self.contains(pt):
             raise ValueError("leaves polydisk")
-        return (d1.div_p_power(1), d2.div_p_power(1))
+        return ((pt.y - self.base.y).div_p_power(1), (pt.z - self.base.z).div_p_power(1))
 
     def contains(self, pt: SurfacePoint) -> bool:
         return reduce_point(pt, 1) == reduce_point(self.base, 1)
 
     def apply_word_uv(self, word: AutWord, uv) -> tuple[PadicInt, PadicInt]:
         """Conjugated action psi^{-1} . word . psi on chart coordinates."""
-        image = apply_word(word, self.psi(uv[0], uv[1]))
-        if not self.contains(image):
-            raise ValueError("leaves polydisk")
-        return self.psi_inv(image)
+        return self.psi_inv(apply_word(word, self.psi(uv[0], uv[1])))
 
     def point_map(self, word: AutWord, kind="identity", A=None, b=None) -> PointMap:
         """The conjugated word as a PointMap usable by the flow machinery."""

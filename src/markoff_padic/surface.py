@@ -20,12 +20,10 @@ An ``AutWord`` is stored as runs: maximal alternating blocks of two Vieta
 letters, such as the stabilizer (s_a s_b)^m of ``rotation``, and single
 letters between them.  Reduction, products, inverses and powers work on runs,
 so a word of millions of letters is a few tuples; ``letters`` writes them out
-on demand.  ``run_action`` is the one decoding of a run: the coordinate it
-fixes, the pair it moves and in which order, and its exponent n, the number
-of letters.  ``apply_word`` evaluates each run as one companion power C(c)^n
-(``chebyshev.companion_power``), in O(log n) ring operations, and
-``certify`` does the same on residue arrays mod p^2.  ``apply_letters``,
-one generator at a time, is the reference both are tested against.
+on demand.  ``apply_word`` evaluates each run of n letters as one companion
+power C(c)^n of the coordinate c it fixes (``chebyshev.companion_power``),
+in O(log n) ring operations.  ``apply_letters``, one generator at a time,
+is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -261,32 +259,23 @@ def rotation(c: str, m: int) -> AutWord:
     return AutWord(_ROTATION_PAIRS[c]).power(m)
 
 
-def run_action(run) -> tuple[int, tuple[int, int], tuple[int, int], int]:
-    """(fixed, source, target, exponent) of a Vieta run of n >= 2 letters.
-
-    The run a b a ... (leftmost a) fixes the third coordinate c and sets the
-    coordinates (a, b) to C(c)^n applied to (a, b) when n is even and to
-    (b, a) when n is odd; coordinates are indices 0, 1, 2 of (x, y, z).
-    """
-    (a, b), n = run
-    i, j = "xyz".index(a[1]), "xyz".index(b[1])
-    return 3 - i - j, ((i, j) if n % 2 == 0 else (j, i)), (i, j), n
-
-
 def apply_word(word: AutWord, pt: SurfacePoint, gamma_only: bool = False) -> SurfacePoint:
-    """Apply a word to a point, rightmost run first, each run as one companion power."""
+    """Apply a word to a point, rightmost run first, each run as one companion power.
+
+    A Vieta run a b a ... of n >= 2 letters (leftmost a) fixes the third
+    coordinate c and sets the coordinates (a, b) to C(c)^n applied to (a, b)
+    when n is even and to (b, a) when n is odd.
+    """
     if gamma_only and not word.gamma_only:
         raise ValueError("word is not in the Vieta subgroup")
-    for run in reversed(word.runs):
-        pair, n = run
+    for pair, n in reversed(word.runs):
         if n == 1:
             pt = apply_generator(pair[0], pt)
             continue
-        fixed, source, target, e = run_action(run)
+        i, j = ("xyz".index(g[1]) for g in pair)
         coords = list(pt.coords())
-        moved = companion_power(coords[fixed], e).apply(tuple(coords[s] for s in source))
-        for t, value in zip(target, moved):
-            coords[t] = value
+        source = (coords[i], coords[j]) if n % 2 == 0 else (coords[j], coords[i])
+        coords[i], coords[j] = companion_power(coords[3 - i - j], n).apply(source)
         pt = SurfacePoint(*coords, pt.D)
     return pt
 

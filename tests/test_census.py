@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markoff_padic.census import (
+    BudgetError,
     _bfs_exact,
     _decode,
     _encode,
@@ -19,6 +20,7 @@ from markoff_padic.census import (
     enumerate_points,
     finite_orbit_catalog,
     orbits,
+    partition,
     residue_bfs,
 )
 from markoff_padic.padic import PadicInt
@@ -142,13 +144,13 @@ def test_level1_budget_boundaries():
     # the solve at p = 5: 8 * (4 * 25 + 12 * 5 * 5) = 3200 bytes; the
     # one-process scan: 8 * 25 * 4 = 800 bytes
     enumerate_points(5, 1, 0, max_mem=3200)
-    with pytest.raises(ValueError, match="solve needs ~3200 bytes"):
+    with pytest.raises(BudgetError, match="solve needs ~3200 bytes"):
         enumerate_points(5, 1, 0, max_mem=3199)
     enumerate_points(5, 1, 0, mode="brute", max_mem=800)
-    with pytest.raises(ValueError, match="scan needs ~800 bytes"):
+    with pytest.raises(BudgetError, match="scan needs ~800 bytes"):
         enumerate_points(5, 1, 0, mode="brute", max_mem=799)
     # the lift's base is the solve under the same budget
-    with pytest.raises(ValueError, match="solve needs"):
+    with pytest.raises(BudgetError, match="solve needs"):
         enumerate_points(5, 2, 0, mode="lift", max_mem=3199)
 
 
@@ -191,7 +193,7 @@ def test_code_range_guard():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert "budget" not in str(exc.value)
+    assert "budget" not in str(exc.value) and not isinstance(exc.value, BudgetError)
     assert peak < 1 << 20
     pts = np.arange(4, dtype=np.int64)
     with pytest.raises(ValueError, match="2\\^21"):
@@ -204,10 +206,19 @@ def test_code_range_guard():
         enumerate_points(127, 3, 0, max_mem=10**6)
 
 
+def test_partition_sizes_and_seeds():
+    # the seed loop on its own: c -> c + 2 mod 6 has the orbits {0, 2, 4}
+    # and {1, 3, 5}, seeded at their least indices; joins merge them
+    pts = np.arange(6, dtype=np.int64)
+    assert partition(pts, [lambda c: (c + 2) % 6]) == ([3, 3], [0, 1])
+    assert partition(pts, [lambda c: (c + 2) % 6], [lambda c: c ^ 1]) == ([6], [0])
+    assert partition(pts[:0], [lambda c: c]) == ([], [])
+
+
 def test_budget_errors():
-    with pytest.raises(ValueError, match="budget exceeded"):
+    with pytest.raises(BudgetError, match="budget exceeded"):
         enumerate_points(7, 3, 0, mode="brute", max_mem=10**6)
-    with pytest.raises(ValueError, match="budget exceeded"):
+    with pytest.raises(BudgetError, match="budget exceeded"):
         enumerate_points(13, 4, 0, mode="lift", max_mem=10**6)
     with pytest.raises(ValueError, match="k >= 2"):
         enumerate_points(7, 1, 0, mode="lift")

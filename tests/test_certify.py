@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markoff_padic.certify import (
-    _residue_word,
     certificate_json,
     certification_route,
     certify_minimal_polydisk,
@@ -19,11 +18,10 @@ from markoff_padic.certify import (
     residual_transitivity,
     strict_move_search,
 )
-from markoff_padic.census import _decode, _residue_action, check_transitivity, enumerate_points
+from markoff_padic.census import _decode, check_transitivity, enumerate_points
 from markoff_padic.padic import PadicInt, legendre
 from markoff_padic.polydisk import parametrize, recentre
 from markoff_padic.surface import (
-    ALL_LETTERS,
     VIETA_LETTERS,
     AutWord,
     apply_word,
@@ -150,7 +148,7 @@ def _reference_orbit_sizes(chart, words):
 
 @st.composite
 def _transitivity_cases(draw):
-    p = draw(st.sampled_from((5, 7, 11)))
+    p = draw(st.sampled_from((5, 7, 11, 13)))
     D = draw(st.integers(0, p**3 - 1))
     base = enumerate_points(p, 1, D % p)
     assume(len(base) > 0)
@@ -182,41 +180,11 @@ def _transitivity_cases(draw):
     return chart, words
 
 
-@settings(max_examples=80, deadline=None)
-@given(
-    st.sampled_from((5, 7, 11, 13, 1447)),
-    st.lists(
-        st.one_of(
-            st.sampled_from(ALL_LETTERS).map(lambda g: (g,)),
-            st.tuples(
-                st.sampled_from([(a, b) for a in VIETA_LETTERS for b in VIETA_LETTERS if a != b]),
-                st.integers(2, 400),
-            ).map(lambda t: (t[0] * t[1])[: t[1]]),
-        ),
-        max_size=5,
-    ),
-    st.integers(0, 2**32),
-)
-def test_residue_runs_match_the_letter_action(p, pieces, seed):
-    # the vectorized companion power of each run mod p^2 against one
-    # generator-table letter at a time; p = 1447 is the largest p with
-    # p^2 < 2^21, where products come closest to the int64 bound
-    M = p * p
-    word = AutWord(sum(pieces, ()))
-    coords = tuple(np.random.default_rng(seed).integers(0, M, size=(3, 16), dtype=np.int64))
-    want = coords
-    for g in reversed(word.letters):
-        want = _residue_action(g, M)(*want)
-    got = _residue_word(word, coords, M)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b)
-
-
 @settings(max_examples=60, deadline=None)
 @given(_transitivity_cases())
 def test_residual_transitivity_matches_the_chart_table(case):
-    # the census orbit count on the fiber mod p^2 against the per-point
-    # PadicInt table of the conjugated action on chart residues mod p
+    # the affine maps fitted at three chart points against the per-point
+    # PadicInt table of the conjugated action on all p^2 chart residues mod p
     chart, words = case
     try:
         want = _reference_orbit_sizes(chart, words)
@@ -288,10 +256,20 @@ def test_certificate_rejects_bad_parameters():
     with pytest.raises(ValueError, match="hypotheses"):
         certify_minimal_polydisk(7, 3, 7)  # D = 0 mod p but not mod p^2, -4+7=3 non-QR
     assert legendre(PadicInt(7, 1, 3)) == -1
-    # point codes mod p^2 must fit in int64: p^2 < 2^21, checked before any stage
+    # the route holds the theorem's hypotheses only: no limit on p beyond p > 3
     assert certification_route(1447, 3, 0) == "arbitrary-point"
-    with pytest.raises(ValueError, match="int64"):
-        certification_route(1451, 3, 0)
+    assert certification_route(1451, 3, 0) == "arbitrary-point"
+
+
+def test_certificate_past_p_1447():
+    # p^2 > 2^21: the residual partition holds chart residues mod p, not
+    # point codes mod p^2, so only the memory budget bounds p
+    cert = certify_minimal_polydisk(1453, 3, 0)
+    assert cert["route"] == "special-point"
+    assert cert["overall"], cert["stage_failures"]
+    assert cert["residual_transitivity"]["orbit_sizes"] == [1453**2]
+    ok, _ = replay(cert)
+    assert ok
 
 
 def test_certified_det_matches_c1c2uv():

@@ -2,7 +2,6 @@
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,6 @@ from markoff_padic.chebyshev import (
     companion_derivative_border,
     companion_derivative_formula,
     companion_power,
-    companion_power_mod,
     fixed_point_Tp,
     rotation_order,
     verify_companion_estimates,
@@ -110,14 +108,6 @@ def test_companion_power_kernel_properties(case, negative):
     assert ca.det() == PadicInt(p, k, 1)
     with pytest.raises(ValueError, match="negative"):
         companion_power(x, negative)
-    with pytest.raises(ValueError, match="negative"):
-        companion_power_mod(x.residue, negative, x.modulus)
-    # the int64 array path against the int path, inside the int64 precondition
-    if x.modulus < 2**21:
-        got = companion_power_mod(np.array([x.residue], dtype=np.int64), a, x.modulus)
-        want = companion_power_mod(x.residue, a, x.modulus)
-        assert all(e.dtype == np.int64 for e in got)
-        assert [int(e[0]) for e in got] == list(want)
 
 
 def test_companion_entries_match_U_formula():

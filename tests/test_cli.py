@@ -51,10 +51,18 @@ def test_hypothesis_violations_exit_2(capsys):
     # the companion estimates need p > 3
     assert main(["identities", "--p", "3"]) == 2
     capsys.readouterr()
-    # p^2 >= 2^21: residual transitivity's point codes would overflow int64,
-    # refused before any stage runs
-    assert main(["certify", "--p", "1451", "--k", "3"]) == 2
-    assert "int64" in capsys.readouterr().err
+
+
+def test_budget_refusal_exits_2(capsys, monkeypatch):
+    # a budget refusal is a usage error, not a stage failure: at p = 7 the
+    # level-1 solve of the arbitrary-point base stage refuses, at p = 13 the
+    # residual partition of the special-point route does
+    monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "1K")
+    for p, what in (("7", "level-1 solve"), ("13", "residual partition")):
+        assert main(["certify", "--p", p, "--k", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget" in captured.err and what in captured.err
 
 
 def test_mathematical_failure_exit_1(capsys, monkeypatch):
