@@ -6,12 +6,15 @@ expressions.  A code is below M^3, so it fits in int64 only while
 M < 2^21; larger p^k is refused up front.  Level-1 sets solve the
 quadratic in z: for fixed (x, y) the surface mod p is
 z^2 - xy*z + (x^2 + y^2 - D) = 0, so one table of square roots mod p gives
-every point in O(p^2) work (``_solve_level1``).  Higher levels lift each
-nonsingular mod-p point through its smooth fiber of exactly p^{2(k-1)}
-points instead of scanning p^{3k} triples.  ``_lift_all`` keeps a numpy
-chord-Newton over ``surface.solve_fiber``'s quadratic, for the coordinate
-that ``surface.unit_partial`` picks.  The O(p^{3k}) scan of every triple
-(``_brute_shard``) stays as the reference at every level.
+every point in O(p^2) work (``_solve_level1``), written block by block
+into one reservation of p(p + 5) codes, a bound on the points mod p.
+Higher levels lift each nonsingular mod-p point through its smooth fiber
+of exactly p^{2(k-1)} points instead of scanning p^{3k} triples.
+``_lift_all`` keeps a numpy chord-Newton over ``surface.solve_fiber``'s
+quadratic, for the coordinate that ``surface.unit_partial`` picks.  A count
+needs no lift at all: ``count_points`` multiplies the mod-p points by the
+fiber size.  The O(p^{3k}) scan of every triple (``_brute_shard``) stays as
+the reference at every level.
 
 Sets are built and deduplicated by sorting, never by numpy's ``unique``,
 which on numpy 2.x hashes int64 input and runs tens of times slower.
@@ -50,7 +53,7 @@ from .surface import ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, un
 
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
 MAX_MODULUS = 1 << 21  # p^k must stay below this so codes < M^3 fit in int64
-SOLVE_BLOCK = 1 << 16  # (x, y) cells per block of the level-1 solve
+SOLVE_BLOCK = 1 << 14  # (x, y) cells per block of the level-1 solve
 
 
 class BudgetError(ValueError):
@@ -182,7 +185,19 @@ def _solve_level1(p: int, d: int) -> np.ndarray:
     The roots are z = (xy +- sqrt(disc)) / 2 with disc = (xy)^2 - 4(x^2 + y^2 - d),
     read from one table of square roots mod p, which is complete only for
     an odd prime p.  x runs in blocks of about SOLVE_BLOCK cells, so the work
-    arrays stay small while the codes grow to ~p^2.
+    arrays stay small.  Each block writes its codes into one reservation of
+    p(p + 5) codes, which is shrunk to the codes written at the end.
+
+    That many codes hold every point mod p.  For fixed x the points solve
+    Q(y, z) = c with Q = y^2 - xyz + z^2 = (y - xz/2)^2 - (x^2 - 4) z^2 / 4
+    and c = d - x^2.  Unless x^2 = 4, Q is nondegenerate and takes each value
+    c != 0 exactly p - (x^2 - 4 | p) <= p + 1 times.  At most four x have
+    x^2 = 4 or c = 0, and each of those has at most 2p points.  So there are
+    at most (p - 4)(p + 1) + 8p < p(p + 5) points, and for p = 3 the two
+    roots per (x, y) give 2p^2 < p(p + 5).  The reservation stays near the
+    codes' own size because numpy asks for huge pages on arrays of 4 MiB or
+    more: on heap memory that request outlives the array, and the pages of
+    an oversized reservation then come back as huge pages to later arrays.
     """
     _check_odd_prime(p)
     t = np.arange(p, dtype=np.int64)
@@ -191,7 +206,8 @@ def _solve_level1(p: int, d: int) -> np.ndarray:
     root[t2 % p] = t
     half = (p + 1) // 2
     rows = _block_rows(p)
-    out = [np.empty(0, dtype=np.int64)]
+    out = np.empty(p * (p + 5), dtype=np.int64)
+    n = 0
     for x0 in range(0, p, rows):
         xy = t[x0 : x0 + rows, None] * t % p
         r = root[(xy * xy - 4 * (t2[x0 : x0 + rows, None] + t2 - d)) % p]
@@ -201,8 +217,11 @@ def _solve_level1(p: int, d: int) -> np.ndarray:
         x, y = np.concatenate([x, x[two]]), np.concatenate([y, y[two]])
         z = np.concatenate([xy + r, xy[two] - r[two]]) * half % p
         nonsing = np.any(np.array(gradient(x, y, z)) % p != 0, axis=0)
-        out.append(_encode(x[nonsing], y[nonsing], z[nonsing], p))
-    return np.concatenate(out)
+        codes = _encode(x[nonsing], y[nonsing], z[nonsing], p)
+        out[n : n + codes.size] = codes
+        n += codes.size
+    out.resize(n, refcheck=False)
+    return out
 
 
 def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarray:
@@ -212,15 +231,16 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
     and lifts above.  Mode "brute" scans all p^{3k} triples, the reference
     at every level; mode "lift" builds levels k >= 2 from the mod-p points
     through their smooth fibers.  Everything runs in this one process.
-    ``workers`` is accepted and ignored: ``perfbench/tracer.py`` passes it
-    by keyword and keys its scan timings on it, and the CLI's ``--workers``
-    is echoed in every report.
+    ``workers`` is accepted and ignored: ``count_points`` passes the CLI's
+    ``--workers`` on to its level-1 call, where ``perfbench/tracer.py``
+    keys its scan timings on it, and every report echoes it.
     """
     M = _code_modulus(p, k)
     d = D.residue_mod(k) if isinstance(D, PadicInt) else D % M
     if mode == "auto" and k == 1:
-        # int64 codes of up to two roots per (x, y), held twice while the
-        # blocks are joined, plus at most a dozen int64 work arrays per block
+        # 32 bytes per (x, y) for the codes, which are reserved once at
+        # p(p + 5) int64, plus at most a dozen int64 work arrays per block:
+        # the traced peak is 17.6 MB against 65.4 MB budgeted at p = 1447
         need = 8 * (4 * p * p + 12 * _block_rows(p) * p)
         check_budget(need, "level-1 solve", max_mem)
         points = _solve_level1(p, d)
@@ -271,12 +291,19 @@ def _lift_all(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
 def count_points(p, k, D, workers=1) -> dict:
     """Cardinality of the level-k point set, with the p(p-3) formula check.
 
-    ``workers`` only reaches ``enumerate_points``, which ignores it; it is
-    passed on so the CLI's ``--workers`` still keys the tracer's timings.
+    Each nonsingular mod-p point has exactly p^{2(k-1)} lifts mod p^k (its
+    smooth fiber, which ``_lift_all`` walks), so the count is the number of
+    mod-p points times p^{2(k-1)}, and nothing above level 1 is built.
+    p^k >= 2^21 is still refused, as ``enumerate_points`` refuses it.
+    ``workers`` only reaches the level-1 ``enumerate_points`` call, which
+    ignores it; it is passed on so the CLI's ``--workers`` still keys the
+    tracer's timings.
     """
-    pts = enumerate_points(p, k, D, workers=workers)
-    count = int(len(pts))
-    d = D.residue_mod(1) if isinstance(D, PadicInt) else D % p
+    if k < 1:
+        raise ValueError("level k must be at least 1")
+    _code_modulus(p, k)
+    d = (D.residue_mod(k) if isinstance(D, PadicInt) else D) % p
+    count = len(enumerate_points(p, 1, d, workers=workers)) * p ** (2 * (k - 1))
     applicable = k == 1 and p % 4 == 3 and d == 0
     report = {
         "count": count,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markoff_padic import census
 from markoff_padic.census import (
     BudgetError,
     _bfs_exact,
@@ -78,6 +79,38 @@ def test_level2_count_example():
     assert len(enumerate_points(7, 2, 0)) == 28 * 49
 
 
+def _count_cases():
+    for p, k in ((3, 2), (3, 3), (5, 2), (5, 3), (7, 2), (7, 3)):
+        yield from ((p, k, D) for D in range(p**k))
+    for p in (11, 13):
+        yield from ((p, 2, D) for D in range(0, p * p, 7))
+
+
+def test_count_is_base_times_fiber():
+    # the count multiplies the mod-p points by p^{2(k-1)}; the lift that
+    # enumerates every point is the reference
+    for p, k, D in _count_cases():
+        want = len(enumerate_points(p, k, D))
+        assert count_points(p, k, D)["count"] == want, (p, k, D)
+        assert count_points(p, k, PadicInt(p, k, D))["count"] == want, (p, k, D)
+    with pytest.raises(ValueError, match="at least 1"):
+        count_points(7, 0, 0)
+    with pytest.raises(ValueError, match="exceeds precision"):
+        count_points(7, 3, PadicInt(7, 2, 0))
+
+
+def test_count_builds_no_level_k_set():
+    # 208 * 13^4 = 5,940,688 points, counted from the 208 mod-13 points
+    tracemalloc.start()
+    try:
+        rep = count_points(13, 3, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep["count"] == 208 * 13**4
+    assert peak < 1 << 20
+
+
 def test_enumerated_points_are_points():
     p, k, D = 5, 1, 1
     pts = enumerate_points(p, k, D)
@@ -131,6 +164,51 @@ def test_level1_solve_matches_brute_scan(p, lift, precision):
             got = enumerate_points(p, 1, D)
             assert got.dtype == np.int64 and np.all(np.diff(got) > 0)
             assert np.array_equal(got, ref), (p, d, D)
+
+
+def test_level1_solve_blocks_match_brute_scan(monkeypatch):
+    # the codes of several blocks written into one reservation: the real
+    # block size at p = 131 (125 rows and a ragged 6), then blocks of 3 rows
+    # at p = 13 (the last one a single row)
+    def check(p, d):
+        got = np.sort(census._solve_level1(p, d))
+        assert np.array_equal(got, enumerate_points(p, 1, d, mode="brute")), (p, d)
+
+    assert census._block_rows(131) == 125
+    for d in (0, 4, 7):
+        check(131, d)
+    monkeypatch.setattr(census, "SOLVE_BLOCK", 50)
+    assert census._block_rows(13) == 3
+    for d in range(13):
+        check(13, d)
+
+
+def test_level1_reservation_holds_every_point():
+    # the solve reserves p(p + 5) codes: every point mod p, singular ones
+    # included, fits.  A cell (x, y) has 1 + (disc | p) roots z
+    for p in ODD_PRIMES_BELOW_60:
+        t = np.arange(p)
+        legendre = np.full(p, -1)
+        legendre[t * t % p] = 1
+        legendre[0] = 0
+        x, y = t[:, None], t[None, :]
+        for d in range(p):
+            disc = ((x * y) ** 2 - 4 * (x * x + y * y - d)) % p
+            assert (1 + legendre[disc]).sum() <= p * (p + 5), (p, d)
+
+
+def test_level1_budget_bounds_the_traced_peak():
+    # the codes' reservation and a block's work arrays stay within the
+    # budget the solve is checked against
+    for p in (809, 1447):
+        need = 8 * (4 * p * p + 12 * census._block_rows(p) * p)
+        tracemalloc.start()
+        try:
+            enumerate_points(p, 1, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (p, peak, need)
 
 
 def test_level1_solve_needs_an_odd_prime():

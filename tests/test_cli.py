@@ -65,6 +65,18 @@ def test_budget_refusal_exits_2(capsys, monkeypatch):
         assert "budget" in captured.err and what in captured.err
 
 
+def test_census_counts_past_the_lift_budget(capsys, monkeypatch):
+    # 208 * 13^6 points mod 13^4 are counted from the 208 mod-13 points, with
+    # no budget for lifting them; the level-1 solve keeps its budget
+    code, rep = _run(capsys, "census", "--p", "13", "--k", "4")
+    assert code == 0
+    assert rep["result"]["count"] == 208 * 13**6 == 1_003_976_272
+    monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "1K")
+    assert main(["census", "--p", "7", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "level-1 solve" in captured.err
+
+
 def test_mathematical_failure_exit_1(capsys, monkeypatch):
     # the true formulas never fail, so fake one failing check to exercise
     # the exit-code path
