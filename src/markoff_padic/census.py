@@ -13,8 +13,8 @@ of exactly p^{2(k-1)} points instead of scanning p^{3k} triples.
 ``_lift_all`` keeps a numpy chord-Newton over ``surface.solve_fiber``'s
 quadratic, for the coordinate that ``surface.unit_partial`` picks.  A count
 needs no lift at all: ``count_points`` multiplies the mod-p points by the
-fiber size.  The O(p^{3k}) scan of every triple (``_brute_shard``) stays as
-the reference at every level.
+fiber size.  ``enumerate_points``' mode "brute", the O(p^{3k}) scan of
+every triple (``_brute_shard``), stays as the reference at every level.
 
 Sets are built and deduplicated by sorting, never by numpy's ``unique``,
 which on numpy 2.x hashes int64 input and runs tens of times slower.
@@ -139,20 +139,12 @@ def _family(gens: str):
 
 
 def _gen_maps(p: int, k: int, gens: str):
-    """Every letter's map of the family, in table order."""
-    return [_letter_func(g, p**k) for g in _family(gens)]
+    """Every letter's map of the family, in table order: the three Vieta maps first.
 
-
-def _vieta_and_joins(p: int, k: int, gens: str):
-    """The three Vieta maps the BFS runs, and the maps of the family's other letters.
-
-    The other letters are H's six for "aut" and none for "gamma"; they only
-    join Vieta orbits (see ``orbits``).
+    The orbit BFS runs ``[:3]``; the rest, H's six letters for "aut" and
+    none for "gamma", only join Vieta orbits (see ``orbits``).
     """
-    M = p**k
-    joins = [g for g in _family(gens) if g not in VIETA_LETTERS]
-    vieta = [_letter_func(g, M) for g in VIETA_LETTERS]
-    return vieta, [_letter_func(g, M) for g in joins]
+    return [_letter_func(g, p**k) for g in _family(gens)]
 
 
 def _brute_shard(p: int, k: int, d: int) -> np.ndarray:
@@ -228,13 +220,15 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
     """Sorted encoded points of the surface over Z/p^k.
 
     Mode "auto" solves the quadratic in z at k = 1 (O(p^2), p an odd prime)
-    and lifts above.  Mode "brute" scans all p^{3k} triples, the reference
-    at every level; mode "lift" builds levels k >= 2 from the mod-p points
-    through their smooth fibers.  Everything runs in this one process.
+    and at k >= 2 lifts the mod-p points through their smooth fibers.  Mode
+    "brute" scans all p^{3k} triples, the reference for both at every
+    level.  Everything runs in this one process.
     ``workers`` is accepted and ignored: ``count_points`` passes the CLI's
     ``--workers`` on to its level-1 call, where ``perfbench/tracer.py``
     keys its scan timings on it, and every report echoes it.
     """
+    if k < 1:
+        raise ValueError("level k must be at least 1")
     M = _code_modulus(p, k)
     d = D.residue_mod(k) if isinstance(D, PadicInt) else D % M
     if mode == "auto" and k == 1:
@@ -245,11 +239,9 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
         check_budget(need, "level-1 solve", max_mem)
         points = _solve_level1(p, d)
     elif mode == "brute":
-        check_budget(8 * M * M * 4, "brute scan", max_mem, "use mode='lift' (k >= 2) or ")
+        check_budget(8 * M * M * 4, "brute scan", max_mem, "use mode='auto' or ")
         points = _brute_shard(p, k, d)
-    elif mode in ("auto", "lift"):
-        if k < 2:
-            raise ValueError("lift mode needs k >= 2")
+    elif mode == "auto":
         base = enumerate_points(p, 1, d % p, max_mem=max_mem)
         fiber = p ** (2 * (k - 1))
         check_budget(8 * len(base) * fiber * 4, "lifting", max_mem)
@@ -360,11 +352,10 @@ def _expand_orbit(points: np.ndarray, maps, seed_idx: int, visited, joins=()) ->
     return size
 
 
-def orbits(p, k, D, gens="gamma", points=None, maps=None) -> OrbitPartition:
+def orbits(p, k, D, gens="gamma", points=None) -> OrbitPartition:
     """Partition of the level-k point set under the chosen generator family.
 
-    With ``maps`` given, the BFS runs those maps and nothing else.
-    Otherwise it runs the three Vieta involutions, and for "aut" joins
+    The BFS runs the three Vieta involutions, and for "aut" joins
     their orbits by H, the group of order 24 that the double sign changes
     ex, ey, ez and the transpositions pxy, pyz, pzx generate.  Each h in H
     is an involution with h s_a h = s_pi(a) for a permutation pi of the
@@ -380,10 +371,8 @@ def orbits(p, k, D, gens="gamma", points=None, maps=None) -> OrbitPartition:
     M = _code_modulus(p, k)
     if points is None:
         points = enumerate_points(p, k, D)
-    joins = ()
-    if maps is None:
-        maps, joins = _vieta_and_joins(p, k, gens)
-    sizes, seeds = partition(points, maps, joins)
+    maps = _gen_maps(p, k, gens)
+    sizes, seeds = partition(points, maps[:3], maps[3:])
     reps = list(zip(*(c.tolist() for c in _decode(points[seeds], M))))
     return OrbitPartition(p, k, gens, int(len(points)), sizes, reps)
 
@@ -418,28 +407,36 @@ def check_transitivity(p, k, D, gens="aut", points=None) -> bool:
         points = enumerate_points(p, k, D)
     if len(points) == 0:
         return False
-    maps, joins = _vieta_and_joins(p, k, gens)
+    maps = _gen_maps(p, k, gens)
     visited = np.zeros(len(points), dtype=bool)
-    size = _expand_orbit(points, maps, 0, visited, joins)
+    size = _expand_orbit(points, maps[:3], 0, visited, maps[3:])
     return size == len(points)
 
 
-def check_orbit_divisibility(p, k, D) -> dict:
-    """Verify p^k divides every Vieta-orbit size (p = 3 mod 4, D = 0 mod p^k)."""
+def orbit_divisibility(p, k, D, part=None) -> tuple[OrbitPartition, bool]:
+    """The gamma partition at level k, and whether p^k divides every orbit size.
+
+    The divisibility theorem claims it for the Vieta orbits when p > 3,
+    p = 3 mod 4 and D = 0 mod p^k.  Outside those hypotheses this raises
+    ValueError before any orbit is computed.  ``part`` is the caller's
+    partition of the same set, if it has one; otherwise it is computed.
+    """
+    if part is not None and part.gens != "gamma":
+        raise ValueError("divisibility theorem is about the Vieta (gamma) orbits")
     if p % 4 != 3 or p <= 3:
         raise ValueError("divisibility theorem needs p > 3 with p = 3 mod 4")
     d = D.residue_mod(k) if isinstance(D, PadicInt) else D % p**k
     if d != 0:
         raise ValueError("divisibility theorem needs D = 0 mod p^k")
-    part = orbits(p, k, 0, gens="gamma")
-    modulus = p**k
-    sizes = sorted(part.orbit_sizes)
-    return {
-        "p": p,
-        "k": k,
-        "orbit_sizes": sizes,
-        "all_divisible": all(s % modulus == 0 for s in sizes),
-    }
+    if part is None:
+        part = orbits(p, k, 0, gens="gamma")
+    return part, all(s % p**k == 0 for s in part.orbit_sizes)
+
+
+def check_orbit_divisibility(p, k, D) -> dict:
+    """Verify p^k divides every Vieta-orbit size (p = 3 mod 4, D = 0 mod p^k)."""
+    part, divisible = orbit_divisibility(p, k, D)
+    return {"p": p, "k": k, "orbit_sizes": sorted(part.orbit_sizes), "all_divisible": divisible}
 
 
 # -- finite-orbit catalog ----------------------------------------------------

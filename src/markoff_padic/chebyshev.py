@@ -1,12 +1,14 @@
 """Monic Chebyshev polynomials, companion-matrix powers, and their verifiers.
 
 The two families T_N, U_N satisfy the recurrence f_N = x f_{N-1} - f_{N-2}
-with initials (T_{-1}, T_0) = (x, 2) and (U_{-1}, U_0) = (0, 1), and the
-symmetries T_{-N} = T_N, U_{-N-2} = -U_N.  The companion matrix
-C(x) = [[x, -1], [1, 0]] has C(x)^N = [[U_N, -U_{N-1}], [U_{N-1}, -U_{N-2}]],
-so T_N(x) = trace C(x)^N.  Large powers are never expanded symbolically:
-``companion_power`` takes binary powers on the residues mod p^K, in plain
-int arithmetic, and wraps the four entries as PadicInt.
+with initials (T_{-1}, T_0) = (x, 2) and (U_{-1}, U_0) = (0, 1); below
+index -1 it runs backward, f_{N-2} = x f_{N-1} - f_N, so the symmetries
+T_{-N} = T_N, U_{-N-2} = -U_N are checked (``identities``), not assumed.
+The companion matrix C(x) = [[x, -1], [1, 0]] has
+C(x)^N = [[U_N, -U_{N-1}], [U_{N-1}, -U_{N-2}]], so T_N(x) = trace C(x)^N.
+Large powers are never expanded symbolically: ``companion_power`` takes
+binary powers on the residues mod p^K, in plain int arithmetic, and wraps
+the four entries as PadicInt.
 """
 
 from __future__ import annotations
@@ -125,14 +127,6 @@ class Mat2:
             self.a22 + other.a22,
         )
 
-    def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a11 - other.a11,
-            self.a12 - other.a12,
-            self.a21 - other.a21,
-            self.a22 - other.a22,
-        )
-
     def scale(self, c: PadicInt | int) -> "Mat2":
         return Mat2(self.a11 * c, self.a12 * c, self.a21 * c, self.a22 * c)
 
@@ -163,28 +157,29 @@ class Mat2:
 
 
 def _cheb_family(n: int, p: int, k: int, f_m1, f_0) -> DensePoly:
-    """Run f_N = x f_{N-1} - f_{N-2} up to index n >= 0."""
-    if n > DEGREE_CAP:
+    """f_n from (f_{-1}, f_0) by f_N = x f_{N-1} - f_{N-2}, run backward below -1.
+
+    Backward, f_{N-2} = x f_{N-1} - f_N is the same recurrence on the
+    sequence read from f_{-1} down, with f_0 before it.  Results of degree
+    above DEGREE_CAP are refused.
+    """
+    before, start, steps = (f_m1, f_0, n) if n >= 0 else (f_0, f_m1, -1 - n)
+    if len(start) - 1 + steps > DEGREE_CAP:
         raise ValueError(f"degree cap {DEGREE_CAP} exceeded")
-    prev = DensePoly(p, k, f_m1)
-    cur = DensePoly(p, k, f_0)
-    if n == -1:
-        return prev
-    for _ in range(n):
+    prev, cur = DensePoly(p, k, before), DensePoly(p, k, start)
+    for _ in range(steps):
         prev, cur = cur, cur.shift_x() - prev
     return cur
 
 
 def chebyshev_T(n: int, p: int, k: int) -> DensePoly:
-    """T_n modulo p^k, using T_{-N} = T_N for negative indices."""
-    return _cheb_family(abs(n), p, k, [0, 1], [2])
+    """T_n modulo p^k, for any integer n."""
+    return _cheb_family(n, p, k, [0, 1], [2])
 
 
 def chebyshev_U(n: int, p: int, k: int) -> DensePoly:
-    """U_n modulo p^k, using U_{-N-2} = -U_N for indices below -1."""
-    if n >= -1:
-        return _cheb_family(n, p, k, [], [1])
-    return chebyshev_U(-n - 2, p, k) * (-1)
+    """U_n modulo p^k, for any integer n."""
+    return _cheb_family(n, p, k, [], [1])
 
 
 def companion(x: PadicInt) -> Mat2:
@@ -230,57 +225,6 @@ def chebyshev_U_at(x: PadicInt, n: int) -> PadicInt:
     if n == -1:
         return PadicInt(x.prime, x.precision, 0)
     return -chebyshev_U_at(x, -n - 2)
-
-
-def companion_derivative(x: PadicInt, n: int, step: int | None = None) -> Mat2:
-    """(C^n)'(x) modulo p^step, by an exact p-adic finite difference.
-
-    Entries of C(x)^n are integer polynomials, so the forward difference
-    (C_n(x + p^m) - C_n(x)) / p^m equals the derivative modulo p^m exactly.
-    Requires precision >= 2*step + 1.
-    """
-    m = step if step is not None else (x.precision - 1) // 2
-    if m < 1 or x.precision < 2 * m + 1:
-        raise ValueError(
-            f"precision {x.precision} insufficient for difference step {m}"
-        )
-    shifted = PadicInt(x.prime, x.precision, x.residue + x.prime**m)
-    diff = companion_power(shifted, n) - companion_power(x, n)
-    return Mat2(*(e.div_p_power(m).truncate(m) for e in diff.entries()))
-
-
-def companion_derivative_formula(x: PadicInt, n: int) -> Mat2:
-    """(C^n)'(x) from the closed trace/entry formula; needs x != +-2 mod p."""
-    p, k = x.prime, x.precision
-    disc = x * x - 4
-    if not disc.is_unit():
-        raise ValueError("closed formula needs x not congruent to +-2 mod p")
-    w = disc.invert()
-    t_next = chebyshev_T_at(x, n + 1)
-    t_cur = chebyshev_T_at(x, n)
-    t_prev = chebyshev_T_at(x, n - 1)
-    u_prev = chebyshev_U_at(x, n - 1)
-    first = Mat2(t_next, -t_cur, t_cur, -t_prev).scale(w * n)
-    two = PadicInt(p, k, 2)
-    second = Mat2(-two, x, -x, two).scale(w * u_prev)
-    return first + second
-
-
-def companion_derivative_border(x_sign: int, n: int, p: int, k: int) -> Mat2:
-    """(C^n)'(+-2) from the binomial-coefficient formula."""
-    if x_sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    sign = 1 if x_sign == 1 else (-1) ** (n + 1)
-    b3 = math.comb(n + 2, 3)
-    b2 = math.comb(n + 1, 3)
-    b1 = math.comb(n, 3)
-    m = Mat2(
-        PadicInt(p, k, b3),
-        PadicInt(p, k, -x_sign * b2),
-        PadicInt(p, k, x_sign * b2),
-        PadicInt(p, k, -b1),
-    )
-    return m.scale(sign)
 
 
 def fixed_point_Tp(x0: PadicInt) -> PadicInt:

@@ -80,11 +80,10 @@ def cmd_census(args) -> dict:
 def cmd_orbits(args) -> dict:
     d = parse_parameter(args.d, args.p, max(args.k, 1))
     part = census.orbits(args.p, args.k, d, gens=args.gens)
-    divisibility = None
-    if args.gens == "gamma" and args.p % 4 == 3 and args.p > 3:
-        if d.residue_mod(args.k) == 0:
-            modulus = args.p**args.k
-            divisibility = all(s % modulus == 0 for s in part.orbit_sizes)
+    try:
+        _, divisibility = census.orbit_divisibility(args.p, args.k, d, part)
+    except ValueError:  # outside the theorem's hypotheses
+        divisibility = None
     result = {
         "p": args.p,
         "k": args.k,
@@ -104,12 +103,11 @@ def cmd_orbits(args) -> dict:
     return _report(args, "orbits", result, divisibility is not False)
 
 
-def _identity_bases(p: int, per_class: int = 10):
+def _identity_bases(p: int):
+    """Three generic bases x0, and three parabolic ones (x0 = +-2 mod p)."""
     generic = [r for r in range(p) if r not in (2, p - 2)]
-    gen_bases = [generic[i % len(generic)] + p * (i // len(generic)) for i in range(per_class)]
-    parab = [2, p - 2]
-    parab_bases = [parab[i % 2] + p * (i // 2) for i in range(per_class)]
-    return gen_bases, parab_bases
+    gen_bases = [generic[i % len(generic)] + p * (i // len(generic)) for i in range(3)]
+    return gen_bases, [2, p - 2, p + 2]
 
 
 def cmd_identities(args) -> dict:
@@ -117,7 +115,7 @@ def cmd_identities(args) -> dict:
     suites = {"power_sum": chebyshev.verify_power_sum_identity(p, k)}
     rng = random.Random(711 * p)
     us = list(range(p)) + [rng.randrange(p * p) for _ in range(20)]
-    gen_bases, parab_bases = _identity_bases(p, per_class=3)
+    gen_bases, parab_bases = _identity_bases(p)
     estimates = []
     for x0 in gen_bases + parab_bases:
         estimates.append(
@@ -218,15 +216,25 @@ def cmd_catalog(args) -> dict:
     return _report(args, "catalog", rep, passed)
 
 
+# each command and the flags it reads besides --p, --workers and --out
 _COMMANDS = {
-    "census": cmd_census,
-    "orbits": cmd_orbits,
-    "identities": cmd_identities,
-    "flow-check": cmd_flow_check,
-    "expansions": cmd_expansions,
-    "certify": cmd_certify,
-    "xd-check": cmd_xd_check,
-    "catalog": cmd_catalog,
+    "census": (cmd_census, ("--k", "--d")),
+    "orbits": (cmd_orbits, ("--k", "--d", "--gens", "--csv")),
+    "identities": (cmd_identities, ("--k",)),
+    "flow-check": (cmd_flow_check, ()),
+    "expansions": (cmd_expansions, ("--k", "--d")),
+    "certify": (cmd_certify, ("--k", "--d", "--budget-words")),
+    "xd-check": (cmd_xd_check, ("--k", "--d", "--budget-words")),
+    "catalog": (cmd_catalog, ("--k", "--case")),
+}
+
+_FLAGS = {
+    "--k": dict(type=int, default=3, help="precision (or residue level)"),
+    "--d": dict(type=str, default="0", help="surface parameter D"),
+    "--budget-words": dict(type=int, default=8),
+    "--gens": dict(choices=("gamma", "aut"), default="gamma"),
+    "--csv": dict(type=str, default=None),
+    "--case": dict(choices=census._CATALOG_CASES, default="D2"),
 }
 
 
@@ -236,28 +244,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact p-adic experiments on Markoff surface automorphisms",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
+        # every report's config echoes these, read or not
+        sp.set_defaults(k=3, d="0", budget_words=8)
         sp.add_argument("--p", type=int, required=True, help="odd prime")
-        sp.add_argument(
-            "--k", type=int, default=3, help="precision (or residue level)"
-        )
-        sp.add_argument("--d", type=str, default="0", help="surface parameter D")
-        sp.add_argument("--budget-words", type=int, default=8)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
         sp.add_argument(
             "--workers", type=int, default=1,
             help="no effect; kept so reports stay byte-stable",
         )
         sp.add_argument("--out", type=str, default=None, help="report path")
-        if name == "orbits":
-            sp.add_argument("--gens", choices=("gamma", "aut"), default="gamma")
-            sp.add_argument("--csv", type=str, default=None)
-        if name == "catalog":
-            sp.add_argument(
-                "--case",
-                choices=census._CATALOG_CASES,
-                default="D2",
-            )
     return parser
 
 
@@ -279,7 +277,7 @@ def main(argv=None) -> int:
         for path in (args.out, getattr(args, "csv", None)):
             if path:
                 _check_writable(path)
-        report = _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command][0](args)
         text = json.dumps(report, indent=2) + "\n"
         if args.out:
             with open(args.out, "w") as fh:

@@ -70,10 +70,6 @@ class PointMap:
         return self.evaluator(w)
 
 
-def identity_map(prime: int) -> PointMap:
-    return PointMap(prime, lambda w: w, "identity")
-
-
 def _vp_factorial(j: int, p: int) -> int:
     e, q = 0, p
     while q <= j:

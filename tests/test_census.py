@@ -20,6 +20,7 @@ from markoff_padic.census import (
     count_points,
     enumerate_points,
     finite_orbit_catalog,
+    orbit_divisibility,
     orbits,
     partition,
     residue_bfs,
@@ -125,7 +126,7 @@ def test_enumerated_points_are_points():
 def test_lift_equals_brute():
     for (p, k, D) in ((5, 2, 0), (7, 2, 0), (11, 2, 0), (5, 3, 1), (13, 2, 0)):
         a = enumerate_points(p, k, D, mode="brute")
-        b = enumerate_points(p, k, D, mode="lift")
+        b = enumerate_points(p, k, D)
         assert np.array_equal(a, b), (p, k, D)
 
 
@@ -141,7 +142,7 @@ def test_enumeration_strictly_increasing():
     # deduplicate: each point must come out exactly once
     runs = [((5, 1, 0), "auto"), ((13, 1, 4), "auto"), ((11, 1, 0), "brute")]
     for (p, k, D) in ((5, 2, 3), (7, 3, 0), (11, 2, 0), (13, 2, 0)):
-        runs += [((p, k, D), "brute"), ((p, k, D), "lift")]
+        runs += [((p, k, D), "brute"), ((p, k, D), "auto")]
     for (p, k, D), mode in runs:
         pts = enumerate_points(p, k, D, mode=mode)
         assert pts.dtype == np.int64 and len(pts) > 0
@@ -229,7 +230,7 @@ def test_level1_budget_boundaries():
         enumerate_points(5, 1, 0, mode="brute", max_mem=799)
     # the lift's base is the solve under the same budget
     with pytest.raises(BudgetError, match="solve needs"):
-        enumerate_points(5, 2, 0, mode="lift", max_mem=3199)
+        enumerate_points(5, 2, 0, max_mem=3199)
 
 
 def test_level1_count_reaches_large_p():
@@ -297,9 +298,9 @@ def test_budget_errors():
     with pytest.raises(BudgetError, match="budget exceeded"):
         enumerate_points(7, 3, 0, mode="brute", max_mem=10**6)
     with pytest.raises(BudgetError, match="budget exceeded"):
-        enumerate_points(13, 4, 0, mode="lift", max_mem=10**6)
-    with pytest.raises(ValueError, match="k >= 2"):
-        enumerate_points(7, 1, 0, mode="lift")
+        enumerate_points(13, 4, 0, max_mem=10**6)
+    with pytest.raises(ValueError, match="at least 1"):
+        enumerate_points(7, 0, 0)
 
 
 def test_orbit_partition_sums_and_reps():
@@ -314,10 +315,7 @@ def test_orbit_partition_sums_and_reps():
 def test_orbit_partition_order_independent():
     pts = enumerate_points(7, 2, 0)
     maps = _gen_maps(7, 2, "gamma")
-    a = orbits(7, 2, 0, points=pts, maps=maps)
-    b = orbits(7, 2, 0, points=pts, maps=list(reversed(maps)))
-    assert a.orbit_sizes == b.orbit_sizes
-    assert a.representatives == b.representatives
+    assert partition(pts, maps) == partition(pts, list(reversed(maps)))
 
 
 def test_orbits_closed_under_generators():
@@ -334,10 +332,9 @@ def test_singleton_generator_orbit_sizes():
     from markoff_padic.census import _letter_func
 
     pts = enumerate_points(7, 1, 0)
-    sx = _letter_func("sx", 7)
-    part = orbits(7, 1, 0, points=pts, maps=[sx])
-    assert max(part.orbit_sizes) <= 2
-    assert not part.transitive
+    sizes, seeds = partition(pts, [_letter_func("sx", 7)])
+    assert max(sizes) <= 2 and len(sizes) > 1
+    assert sum(sizes) == len(pts) and seeds[0] == 0
 
 
 def test_orbit_sizes_match_tuple_bfs():
@@ -399,14 +396,14 @@ def _classes(draw):
 @given(_classes())
 def test_aut_orbits_match_nine_letter_bfs(case):
     # Vieta orbits joined by H against the plain BFS of all nine letters,
-    # which an explicit maps list runs
+    # which ``partition`` runs on the nine maps with no joins
     p, k, D = case
     pts = enumerate_points(p, k, D)
     joined = orbits(p, k, D, "aut")
-    plain = orbits(p, k, D, points=pts, maps=_gen_maps(p, k, "aut"))
-    assert joined.orbit_sizes == plain.orbit_sizes
-    assert joined.representatives == plain.representatives
-    assert check_transitivity(p, k, D, "aut") == (len(plain.orbit_sizes) == 1)
+    sizes, seeds = partition(pts, _gen_maps(p, k, "aut"))
+    assert joined.orbit_sizes == sizes
+    assert [_encode(*rep, p**k) for rep in joined.representatives] == pts[seeds].tolist()
+    assert check_transitivity(p, k, D, "aut") == (len(sizes) == 1)
 
 
 def test_aut_escape_check_survives_the_joins():
@@ -448,6 +445,20 @@ def test_divisibility_theorem():
         check_orbit_divisibility(5, 1, 0)
     with pytest.raises(ValueError, match="D = 0"):
         check_orbit_divisibility(7, 2, 49 + 7)
+
+
+def test_divisibility_reads_the_given_partition(monkeypatch):
+    # the hypotheses are refused before any orbit is computed, and a given
+    # partition is read, not recomputed
+    gamma, aut = orbits(7, 2, 0, "gamma"), orbits(7, 2, 0, "aut")
+    monkeypatch.setattr(census, "orbits", None)
+    assert orbit_divisibility(7, 2, 0, gamma) == (gamma, True)
+    for p, k, D, part in ((7, 2, 0, aut), (3, 1, 0, None), (5, 1, 0, None), (7, 2, 7, None)):
+        with pytest.raises(ValueError, match="divisibility theorem"):
+            orbit_divisibility(p, k, D, part)
+    # a partition with an orbit of size 7 is not divisible by 49
+    fake = census.OrbitPartition(7, 2, "gamma", 56, [49, 7])
+    assert orbit_divisibility(7, 2, 0, fake)[1] is False
 
 
 def test_catalog_D2():

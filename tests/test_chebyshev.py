@@ -1,21 +1,21 @@
 """Chebyshev machinery against the recurrences and matrix oracles."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from markoff_padic import chebyshev
 from markoff_padic.chebyshev import (
     Mat2,
     chebyshev_T,
     chebyshev_T_at,
     chebyshev_U,
     chebyshev_U_at,
+    _cheb_family,
     companion,
-    companion_derivative,
-    companion_derivative_border,
-    companion_derivative_formula,
     companion_power,
     fixed_point_Tp,
     rotation_order,
@@ -59,15 +59,59 @@ def test_recurrences_coefficient_level():
 
 
 def test_symmetries():
+    # negative indices come from the backward recurrence, so these compare
+    # two independent computations
     p, k = 7, 2
     for n in range(201):
         assert chebyshev_T(-n, p, k) == chebyshev_T(n, p, k)
         assert chebyshev_U(-n - 2, p, k) == chebyshev_U(n, p, k) * (-1)
 
 
-def test_degree_cap():
-    with pytest.raises(ValueError, match="cap"):
-        chebyshev_T(10_001, 5, 1)
+def test_backward_recurrence_by_hand():
+    # f_{N-2} = x f_{N-1} - f_N from (f_{-1}, f_0), unrolled by hand:
+    # U: 0, 1 -> U_{-2} = -1, U_{-3} = -x, U_{-4} = -x^2 + 1, U_{-5} = -x^3 + 2x
+    # T: x, 2 -> T_{-2} = x^2 - 2, T_{-3} = x^3 - 3x, T_{-4} = x^4 - 4x^2 + 2,
+    #    T_{-5} = x^5 - 5x^3 + 5x
+    p, k = 7, 3
+    m = p**k
+    want_u = {-2: (-1,), -3: (0, -1), -4: (1, 0, -1), -5: (0, 2, 0, -1)}
+    want_t = {
+        -2: (-2, 0, 1),
+        -3: (0, -3, 0, 1),
+        -4: (2, 0, -4, 0, 1),
+        -5: (0, 5, 0, -5, 0, 1),
+    }
+    for n in range(-5, -1):
+        u = _cheb_family(n, p, k, [], [1])
+        t = _cheb_family(n, p, k, [0, 1], [2])
+        assert u.coeffs == tuple(c % m for c in want_u[n])
+        assert t.coeffs == tuple(c % m for c in want_t[n])
+        assert u == chebyshev_U(n, p, k) and t == chebyshev_T(n, p, k)
+    assert _cheb_family(-1, p, k, [0, 1], [2]).coeffs == (0, 1)
+
+
+def test_degree_cap(monkeypatch):
+    # T_n has degree |n|; U_n has degree n, or -n - 2 below -1.  The indices
+    # past the cap are refused before any work
+    for n in (10_001, -10_001):
+        with pytest.raises(ValueError, match="cap"):
+            chebyshev_T(n, 5, 1)
+    for n in (10_001, -10_003):
+        with pytest.raises(ValueError, match="cap"):
+            chebyshev_U(n, 5, 1)
+    # the same boundaries under a small cap, where the last admitted
+    # polynomials are cheap to build
+    monkeypatch.setattr(chebyshev, "DEGREE_CAP", 40)
+    for n in (40, -40):
+        assert chebyshev_T(n, 5, 1).degree == 40
+    for n in (40, -42):
+        assert chebyshev_U(n, 5, 1).degree == 40
+    for n in (41, -41):
+        with pytest.raises(ValueError, match="cap"):
+            chebyshev_T(n, 5, 1)
+    for n in (41, -43):
+        with pytest.raises(ValueError, match="cap"):
+            chebyshev_U(n, 5, 1)
 
 
 def test_companion_power_examples():
@@ -139,6 +183,58 @@ def test_trace_is_T():
     for r in range(7):
         x = PadicInt(p, k, r)
         assert chebyshev_T_at(x, 9) == chebyshev_T(9, p, k)(x)
+
+
+def companion_derivative(x: PadicInt, n: int, step: int | None = None) -> Mat2:
+    """(C^n)'(x) modulo p^step, by an exact p-adic finite difference.
+
+    Entries of C(x)^n are integer polynomials, so the forward difference
+    (C_n(x + p^m) - C_n(x)) / p^m equals the derivative modulo p^m exactly.
+    Requires precision >= 2*step + 1.
+    """
+    m = step if step is not None else (x.precision - 1) // 2
+    if m < 1 or x.precision < 2 * m + 1:
+        raise ValueError(
+            f"precision {x.precision} insufficient for difference step {m}"
+        )
+    shifted = PadicInt(x.prime, x.precision, x.residue + x.prime**m)
+    ahead, here = companion_power(shifted, n), companion_power(x, n)
+    diff = (a - b for a, b in zip(ahead.entries(), here.entries()))
+    return Mat2(*(e.div_p_power(m).truncate(m) for e in diff))
+
+
+def companion_derivative_formula(x: PadicInt, n: int) -> Mat2:
+    """(C^n)'(x) from the closed trace/entry formula; needs x != +-2 mod p."""
+    p, k = x.prime, x.precision
+    disc = x * x - 4
+    if not disc.is_unit():
+        raise ValueError("closed formula needs x not congruent to +-2 mod p")
+    w = disc.invert()
+    t_next = chebyshev_T_at(x, n + 1)
+    t_cur = chebyshev_T_at(x, n)
+    t_prev = chebyshev_T_at(x, n - 1)
+    u_prev = chebyshev_U_at(x, n - 1)
+    first = Mat2(t_next, -t_cur, t_cur, -t_prev).scale(w * n)
+    two = PadicInt(p, k, 2)
+    second = Mat2(-two, x, -x, two).scale(w * u_prev)
+    return first + second
+
+
+def companion_derivative_border(x_sign: int, n: int, p: int, k: int) -> Mat2:
+    """(C^n)'(+-2) from the binomial-coefficient formula."""
+    if x_sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    sign = 1 if x_sign == 1 else (-1) ** (n + 1)
+    b3 = math.comb(n + 2, 3)
+    b2 = math.comb(n + 1, 3)
+    b1 = math.comb(n, 3)
+    m = Mat2(
+        PadicInt(p, k, b3),
+        PadicInt(p, k, -x_sign * b2),
+        PadicInt(p, k, x_sign * b2),
+        PadicInt(p, k, -b1),
+    )
+    return m.scale(sign)
 
 
 def test_derivative_finite_difference_vs_border_formula():

@@ -201,7 +201,28 @@ def test_parse_parameter_forms():
 def test_identities_and_flow_and_expansions(capsys):
     code, rep = _run(capsys, "identities", "--p", "5", "--k", "3")
     assert code == 0 and rep["passed"]
-    code, rep = _run(capsys, "flow-check", "--p", "5", "--k", "3")
+    code, rep = _run(capsys, "flow-check", "--p", "5")
     assert code == 0 and rep["passed"]
     code, rep = _run(capsys, "expansions", "--p", "5", "--k", "3", "--d", "3")
     assert code == 0 and rep["passed"]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, "--budget-words") for c in (
+        "census", "orbits", "identities", "flow-check", "expansions", "catalog"
+    )]
+    + [(c, "--d") for c in ("identities", "flow-check", "catalog")]
+    + [("flow-check", "--k")],
+)
+def test_flags_a_command_does_not_read_exit_2(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", "7", flag, "5"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_unread_flags_echo_their_defaults(capsys):
+    code, rep = _run(capsys, "flow-check", "--p", "7")
+    assert code == 0
+    assert rep["config"] == {"p": 7, "k": 3, "d": "0", "budget_words": 8, "workers": 1}

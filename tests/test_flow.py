@@ -7,7 +7,6 @@ import pytest
 from markoff_padic.chebyshev import Mat2
 from markoff_padic.flow import (
     PointMap,
-    identity_map,
     local_minimality_det,
     mahler_flow,
     newton_inverse,
@@ -202,7 +201,9 @@ def test_twisted_minimality_det_examples():
     p = 7
     w0 = _pair(p, 5, 0, 0)
     # g identity: reduces to det(f, f) = 0
-    det, unit = twisted_minimality_det(_translation(p, (1, 0)), identity_map(p), w0)
+    det, unit = twisted_minimality_det(
+        _translation(p, (1, 0)), PointMap(p, lambda w: w, "identity"), w0
+    )
     assert det.residue == 0 and not unit
     # shear fixing the translation direction: still 0
     A = Mat2(PadicInt(p, 5, 1), PadicInt(p, 5, 1), PadicInt(p, 5, 0), PadicInt(p, 5, 1))

@@ -290,7 +290,7 @@ def test_lift_point_lands_in_the_lifted_census(case):
     pt = lift_point(t, D, p, k)
     assert pt.residues(1) == t
     code = _encode(*pt.residues(), p**k)
-    lifted = enumerate_points(p, k, D, mode="lift")
+    lifted = enumerate_points(p, k, D)
     i = np.searchsorted(lifted, code)
     assert i < len(lifted) and lifted[i] == code
     units = [j for j, d in enumerate(pt.partials()) if d.is_unit()]
