@@ -6,7 +6,7 @@ s_y s_z whose action on (y, z) is multiplication by C(x)^2.
 
 from markoff_padic import AutWord, apply_word, dist, point
 from markoff_padic.chebyshev import companion_power
-from markoff_padic.surface import apply_generator, lift_point, reduce_point
+from markoff_padic.surface import apply_generator, lift_point
 
 p, K = 7, 3
 pt = point(3, 3, 3, 0, p, K)
@@ -32,4 +32,4 @@ print(
     dist(apply_word(w2, pt), apply_word(w2, other)) == dist(pt, other),
 )
 
-print("reduction mod p of the lift:", reduce_point(other, 1))
+print("reduction mod p of the lift:", other.residues(1))

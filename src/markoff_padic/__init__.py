@@ -23,7 +23,6 @@ from .surface import (
     is_point,
     lift_point,
     point,
-    reduce_point,
 )
 from .flow import (
     PointMap,

@@ -397,20 +397,8 @@ def partition(points: np.ndarray, maps, joins=()) -> tuple[list[int], list[int]]
 
 
 def check_transitivity(p, k, D, gens="aut", points=None) -> bool:
-    """True iff the generator action has a single orbit at level k.
-
-    The orbit of the first point is expanded as in ``orbits``: Vieta
-    orbits, joined by H for "aut".
-    """
-    _code_modulus(p, k)
-    if points is None:
-        points = enumerate_points(p, k, D)
-    if len(points) == 0:
-        return False
-    maps = _gen_maps(p, k, gens)
-    visited = np.zeros(len(points), dtype=bool)
-    size = _expand_orbit(points, maps[:3], 0, visited, maps[3:])
-    return size == len(points)
+    """True iff the generator action has a single orbit at level k (``orbits``)."""
+    return orbits(p, k, D, gens, points).transitive
 
 
 def orbit_divisibility(p, k, D, part=None) -> tuple[OrbitPartition, bool]:

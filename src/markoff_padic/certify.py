@@ -37,7 +37,6 @@ from .surface import (
     generator_formula,
     is_point,
     lift_point,
-    reduce_point,
     rotation,
     unit_partial,
 )
@@ -118,7 +117,7 @@ def _collision_bfs(pt: SurfacePoint, budget: int) -> AutWord | None:
     """
     p = pt.prime
     classes: dict[tuple, tuple] = {}
-    start = reduce_point(pt, 2)
+    start = pt.residues(2)
     for t, word in census.residue_bfs(start, p * p, VIETA_LETTERS, budget):
         cls = tuple(c % p for c in t)
         if cls in classes:

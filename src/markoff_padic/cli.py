@@ -21,14 +21,15 @@ from . import census, certify, chebyshev, flow, polydisk
 from .padic import PadicInt, sqrt
 from .surface import ALL_LETTERS
 
+# a denominator only after a parenthesized numerator, and parentheses in pairs
 _D_PATTERN = re.compile(
-    r"^\(?\s*(-?\d+)\s*([+-])\s*(?:(\d+)\s*\*\s*)?sqrt\(\s*(-?\d+)\s*\)\s*\)?"
-    r"\s*(?:/\s*(\d+))?$"
+    r"^(\()?\s*(-?\d+)\s*([+-])\s*(?:(\d+)\s*\*\s*)?sqrt\(\s*(-?\d+)\s*\)"
+    r"\s*(?(1)\)\s*(?:/\s*(\d+))?)$"
 )
 
 
 def parse_parameter(text: str, p: int, k: int) -> PadicInt:
-    """Parse the surface parameter: an integer or 'a+b*sqrt(c)' over /den."""
+    """Parse the surface parameter: an integer, 'a+b*sqrt(c)' or '(a+b*sqrt(c))/den'."""
     text = text.strip()
     try:
         literal = int(text)
@@ -42,7 +43,7 @@ def parse_parameter(text: str, p: int, k: int) -> PadicInt:
             f"cannot parse parameter {text!r}; use an integer or forms like "
             "'3+sqrt(2)' or '(5-sqrt(5))/2'"
         )
-    a, sign, b, c, den = m.groups()
+    _, a, sign, b, c, den = m.groups()
     root = sqrt(PadicInt(p, k, int(c)))
     value = PadicInt(p, k, int(a))
     coeff = int(b) if b else 1
@@ -70,24 +71,22 @@ def _report(args, command: str, result: dict, passed: bool) -> dict:
 
 
 def cmd_census(args) -> dict:
-    d = parse_parameter(args.d, args.p, max(args.k, 1))
-    rep = census.count_points(args.p, args.k, d, workers=args.workers)
-    result = {"p": args.p, "k": args.k, "D": d.residue_mod(args.k), **rep}
+    rep = census.count_points(args.p, args.k, args.D, workers=args.workers)
+    result = {"p": args.p, "k": args.k, "D": args.D.residue, **rep}
     passed = rep["formula_holds"] is not False
     return _report(args, "census", result, passed)
 
 
 def cmd_orbits(args) -> dict:
-    d = parse_parameter(args.d, args.p, max(args.k, 1))
-    part = census.orbits(args.p, args.k, d, gens=args.gens)
+    part = census.orbits(args.p, args.k, args.D, gens=args.gens)
     try:
-        _, divisibility = census.orbit_divisibility(args.p, args.k, d, part)
+        _, divisibility = census.orbit_divisibility(args.p, args.k, args.D, part)
     except ValueError:  # outside the theorem's hypotheses
         divisibility = None
     result = {
         "p": args.p,
         "k": args.k,
-        "D": d.residue_mod(args.k),
+        "D": args.D.residue,
         "count": part.total,
         "orbit_sizes": sorted(part.orbit_sizes),
         "transitive": part.transitive,
@@ -111,7 +110,7 @@ def _identity_bases(p: int):
 
 
 def cmd_identities(args) -> dict:
-    p, k = args.p, max(args.k, 3)
+    p, k = args.p, args.k
     suites = {"power_sum": chebyshev.verify_power_sum_identity(p, k)}
     rng = random.Random(711 * p)
     us = list(range(p)) + [rng.randrange(p * p) for _ in range(20)]
@@ -178,10 +177,9 @@ def cmd_flow_check(args) -> dict:
 
 
 def cmd_expansions(args) -> dict:
-    p, k = args.p, max(args.k, 3)
-    d = parse_parameter(args.d, p, k)
-    route = certify.certification_route(p, k, d)
-    _, _, chart = certify.base_point_chart(p, k, d, route)
+    p, k = args.p, args.k
+    route = certify.certification_route(p, k, args.D)
+    _, _, chart = certify.base_point_chart(p, k, args.D, route)
     base = chart.base
     suites = {"xi_expansion": polydisk.verify_xi_expansion(chart)}
     x0 = base.x.residue_mod(1)
@@ -197,16 +195,14 @@ def cmd_expansions(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
-    d = parse_parameter(args.d, args.p, max(args.k, 3))
     cert = certify.certify_minimal_polydisk(
-        args.p, args.k, d, budget=args.budget_words
+        args.p, args.k, args.D, budget=args.budget_words
     )
     return _report(args, "certify", cert, cert["overall"])
 
 
 def cmd_xd_check(args) -> dict:
-    d = parse_parameter(args.d, args.p, max(args.k, 3))
-    rep = certify.check_XD(args.p, args.k, d, budget=args.budget_words)
+    rep = certify.check_XD(args.p, args.k, args.D, budget=args.budget_words)
     return _report(args, "xd-check", rep, True)
 
 
@@ -277,7 +273,10 @@ def main(argv=None) -> int:
         for path in (args.out, getattr(args, "csv", None)):
             if path:
                 _check_writable(path)
-        report = _COMMANDS[args.command][0](args)
+        command, flags = _COMMANDS[args.command]
+        if "--d" in flags:  # parsed once, at the precision the report echoes
+            args.D = parse_parameter(args.d, args.p, args.k)
+        report = command(args)
         text = json.dumps(report, indent=2) + "\n"
         if args.out:
             with open(args.out, "w") as fh:

@@ -22,7 +22,6 @@ from .surface import (
     AutWord,
     SurfacePoint,
     apply_word,
-    reduce_point,
     rotation,
     solve_fiber,
 )
@@ -64,7 +63,7 @@ class PolydiskChart:
         return ((pt.y - self.base.y).div_p_power(1), (pt.z - self.base.z).div_p_power(1))
 
     def contains(self, pt: SurfacePoint) -> bool:
-        return reduce_point(pt, 1) == reduce_point(self.base, 1)
+        return pt.residues(1) == self.base.residues(1)
 
     def apply_word_uv(self, word: AutWord, uv) -> tuple[PadicInt, PadicInt]:
         """Conjugated action psi^{-1} . word . psi on chart coordinates."""

@@ -108,7 +108,10 @@ class SurfacePoint:
         return self
 
     def residues(self, level: int | None = None) -> tuple[int, int, int]:
+        """Coordinatewise residues mod p^level, at most the precision (D's included)."""
         k = level if level is not None else self.precision
+        if k > self.precision:
+            raise ValueError(f"level {k} exceeds precision {self.precision}")
         return tuple(c.residue_mod(k) for c in (self.x, self.y, self.z))
 
 
@@ -326,13 +329,6 @@ def dist(a: SurfacePoint, b: SurfacePoint) -> DistClass:
     )
     k = min(a.precision, b.precision)
     return DistClass(min(v, k), k)
-
-
-def reduce_point(pt: SurfacePoint, level: int) -> tuple[int, int, int]:
-    """Coordinatewise reduction modulo p^level."""
-    if level > pt.precision:
-        raise ValueError(f"level {level} exceeds precision {pt.precision}")
-    return pt.residues(level)
 
 
 def lift_point(triple, D, p: int, k: int) -> SurfacePoint:

@@ -51,6 +51,43 @@ def test_hypothesis_violations_exit_2(capsys):
     # the companion estimates need p > 3
     assert main(["identities", "--p", "3"]) == 2
     capsys.readouterr()
+    # each command runs at the --k its report echoes, so K < 3 is refused
+    for argv in (
+        ["identities", "--p", "5", "--k", "1"],
+        ["identities", "--p", "5", "--k", "2"],
+        ["expansions", "--p", "7", "--k", "2"],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "precision >= 3 required" in captured.err
+
+
+# (argv after --p 3, exit code, expected result fields or None for a refusal)
+_P3_AUDIT = [
+    (["census", "--k", "1"], 0,
+     {"count": 0, "formula_expected": 0, "formula_holds": True}),
+    (["census", "--k", "1", "--d", "1"], 0, {"count": 6}),
+    (["orbits", "--k", "2"], 0, {"count": 0, "orbit_sizes": [], "transitive": False}),
+    (["flow-check"], 0,
+     {"iteration_exact": True, "mod_p2_closed_form": True, "truncation_sound": True}),
+    (["xd-check"], 0, {"found": False, "scanned": 0}),
+    (["catalog", "--k", "3"], 0, {"case": "D2", "passed": True, "orbits": [{
+        "point": [1, 1, 1], "D": 2, "expected": 16, "gamma_size": 16,
+        "aut_size": 16, "matches": True, "collapsed": False}]}),
+    (["identities"], 2, None),
+    (["expansions"], 2, None),
+    (["certify"], 2, None),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, fields", _P3_AUDIT)
+def test_every_command_at_p3(capsys, argv, exit_code, fields):
+    code, rep = _run(capsys, argv[0], "--p", "3", *argv[1:])
+    assert code == exit_code
+    if fields is None:
+        assert rep is None
+        return
+    assert {key: rep["result"][key] for key in fields} == fields
 
 
 def test_budget_refusal_exits_2(capsys, monkeypatch):
@@ -194,6 +231,11 @@ def test_parse_parameter_forms():
     assert ((w - 1) * (w - 1)).residue == 8
     with pytest.raises(ValueError, match="cannot parse"):
         parse_parameter("sqrt", 7, 3)
+    # a denominator needs a parenthesized numerator, and parentheses come in pairs
+    assert parse_parameter("(3+sqrt(2))", 7, 3) == v
+    for text, p in (("5-sqrt(5)/2", 11), ("(3+sqrt(2)", 7), ("3+sqrt(2))", 7)):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_parameter(text, p, 3)
     with pytest.raises(ValueError, match="no square root"):
         parse_parameter("3+sqrt(5)", 7, 3)
 

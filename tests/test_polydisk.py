@@ -25,7 +25,6 @@ from markoff_padic.surface import (
     gradient,
     lift_point,
     point,
-    reduce_point,
     unit_partial,
 )
 
@@ -160,7 +159,7 @@ def test_recentre():
     ch = recentre(parametrize(pt))
     assert chebyshev_T_at(ch.base.y, 7) == ch.base.y
     assert chebyshev_T_at(ch.base.z, 7) == ch.base.z
-    assert reduce_point(ch.base, 1) == (1, 4, 1)
+    assert ch.base.residues(1) == (1, 4, 1)
     again = recentre(ch)
     assert again.base.residues() == ch.base.residues()
     # p=7, y0 = 1: T_7-fixed point of that disk is 1 itself

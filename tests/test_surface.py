@@ -23,7 +23,6 @@ from markoff_padic.surface import (
     is_point,
     lift_point,
     point,
-    reduce_point,
     rotation,
     unit_partial,
 )
@@ -244,11 +243,16 @@ def test_dist_class_ordering():
 def test_reduce_examples_and_word_commutation():
     p, k = 7, 2
     pt = point(3, 3, 3, 0, p, k)
-    assert reduce_point(pt, 2) == pt.residues()
+    assert pt.residues(2) == pt.residues()
     lifted = lift_point((1, 4, 1), 0, 7, 2)
-    assert reduce_point(lifted, 1) == (1, 4, 1)
+    assert lifted.residues(1) == (1, 4, 1)
     with pytest.raises(ValueError, match="exceeds"):
-        reduce_point(pt, 3)
+        pt.residues(3)
+    # the precision includes D's: coordinates at 3 digits over D at 2 stop at 2
+    low_d = SurfacePoint(*(_padic(p, 3, 3) for _ in range(3)), _padic(p, 2, 0))
+    assert low_d.residues(2) == (3, 3, 3)
+    with pytest.raises(ValueError, match="level 3 exceeds precision 2"):
+        low_d.residues(3)
     rng = random.Random(77)
     pts = _random_points(7, 3, 0, 10, seed=31)
     letters = list(ALL_LETTERS)
@@ -257,8 +261,8 @@ def test_reduce_examples_and_word_commutation():
         w = AutWord(tuple(rng.choice(letters) for _ in range(rng.randrange(6))))
         img = apply_word(w, a)
         # reduction commutes with the action: generators are integer maps
-        low = lift_point(reduce_point(a, 1), 0, 7, 1)
-        assert reduce_point(img, 1) == reduce_point(apply_word(w, low), 1)
+        low = lift_point(a.residues(1), 0, 7, 1)
+        assert img.residues(1) == apply_word(w, low).residues(1)
 
 
 def test_lift_point_validates_and_respects_solved():
