@@ -13,10 +13,10 @@ over 4.5M points at level 2).
 import time
 
 from markoff_padic import (
-    check_orbit_divisibility,
     check_transitivity,
     count_points,
     enumerate_points,
+    orbit_divisibility,
     orbits,
 )
 
@@ -34,7 +34,7 @@ part = orbits(7, 2, 0, gens="gamma")
 print("Vieta orbits at level 2:", part.orbit_sizes, "-> divisible by 49:",
       all(s % 49 == 0 for s in part.orbit_sizes))
 
-print("divisibility report p=11, k=2:", check_orbit_divisibility(11, 2, 0)["all_divisible"])
+print("divisibility report p=11, k=2:", orbit_divisibility(11, 2, 0)[1])
 
 for k in (1, 2, 3):
     print(f"Aut transitive on X_0*(Z/7^{k}):", check_transitivity(7, k, 0, "aut"))
@@ -43,6 +43,5 @@ print("\nAut transitivity on X_0*(Z/p^2), D = 0:")
 print("   p    points  transitive  seconds")
 for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
     t0 = time.perf_counter()
-    pts = enumerate_points(p, 2, 0)
-    ok = check_transitivity(p, 2, 0, "aut", points=pts)
-    print(f"{p:4d} {len(pts):9d}  {str(ok):>10}  {time.perf_counter() - t0:7.2f}")
+    part = orbits(p, 2, 0, gens="aut")
+    print(f"{p:4d} {part.total:9d}  {str(part.transitive):>10}  {time.perf_counter() - t0:7.2f}")

@@ -34,11 +34,11 @@ from .flow import (
 from .polydisk import PolydiskChart, parametrize, recentre
 from .census import (
     OrbitPartition,
-    check_orbit_divisibility,
     check_transitivity,
     count_points,
     enumerate_points,
     finite_orbit_catalog,
+    orbit_divisibility,
     orbits,
 )
 from .certify import (

@@ -43,12 +43,13 @@ flags.  A request over the memory budget raises ``BudgetError``.
 from __future__ import annotations
 
 import os
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .padic import PadicInt, _check_odd_prime, sqrt
+from .padic import PadicInt, _check_odd_prime, residue_of, sqrt
 from .surface import ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, unit_partial
 
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
@@ -66,14 +67,13 @@ def _max_mem(explicit=None) -> int:
     raw = os.environ.get("MARKOFF_PADIC_MAX_MEM")
     if not raw:
         return DEFAULT_MAX_MEM
-    raw = raw.strip().upper()
-    mult = 1
-    for suffix, m in (("K", 1 << 10), ("M", 1 << 20), ("G", 1 << 30)):
-        if raw.endswith(suffix):
-            mult = m
-            raw = raw[:-1]
-            break
-    return int(raw) * mult
+    m = re.fullmatch(r"([0-9]+)([KMG]?)", raw.strip().upper())
+    if m is None:
+        raise ValueError(
+            "MARKOFF_PADIC_MAX_MEM must be a byte count with an optional K, M "
+            f"or G suffix (e.g. 512M), got {raw!r}"
+        )
+    return int(m[1]) << {"": 0, "K": 10, "M": 20, "G": 30}[m[2]]
 
 
 def check_budget(need: int, what: str, max_mem=None, advice: str = "") -> None:
@@ -230,7 +230,7 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
     if k < 1:
         raise ValueError("level k must be at least 1")
     M = _code_modulus(p, k)
-    d = D.residue_mod(k) if isinstance(D, PadicInt) else D % M
+    d = residue_of(D, p, k)
     if mode == "auto" and k == 1:
         # 32 bytes per (x, y) for the codes, which are reserved once at
         # p(p + 5) int64, plus at most a dozen int64 work arrays per block:
@@ -294,7 +294,7 @@ def count_points(p, k, D, workers=1) -> dict:
     if k < 1:
         raise ValueError("level k must be at least 1")
     _code_modulus(p, k)
-    d = (D.residue_mod(k) if isinstance(D, PadicInt) else D) % p
+    d = residue_of(D, p, k) % p
     count = len(enumerate_points(p, 1, d, workers=workers)) * p ** (2 * (k - 1))
     applicable = k == 1 and p % 4 == 3 and d == 0
     report = {
@@ -352,7 +352,7 @@ def _expand_orbit(points: np.ndarray, maps, seed_idx: int, visited, joins=()) ->
     return size
 
 
-def orbits(p, k, D, gens="gamma", points=None) -> OrbitPartition:
+def orbits(p, k, D, gens="gamma") -> OrbitPartition:
     """Partition of the level-k point set under the chosen generator family.
 
     The BFS runs the three Vieta involutions, and for "aut" joins
@@ -369,8 +369,7 @@ def orbits(p, k, D, gens="gamma", points=None) -> OrbitPartition:
     are the least unvisited indices (``partition``).
     """
     M = _code_modulus(p, k)
-    if points is None:
-        points = enumerate_points(p, k, D)
+    points = enumerate_points(p, k, D)
     maps = _gen_maps(p, k, gens)
     sizes, seeds = partition(points, maps[:3], maps[3:])
     reps = list(zip(*(c.tolist() for c in _decode(points[seeds], M))))
@@ -396,9 +395,9 @@ def partition(points: np.ndarray, maps, joins=()) -> tuple[list[int], list[int]]
     return sizes, seeds
 
 
-def check_transitivity(p, k, D, gens="aut", points=None) -> bool:
+def check_transitivity(p, k, D, gens="aut") -> bool:
     """True iff the generator action has a single orbit at level k (``orbits``)."""
-    return orbits(p, k, D, gens, points).transitive
+    return orbits(p, k, D, gens).transitive
 
 
 def orbit_divisibility(p, k, D, part=None) -> tuple[OrbitPartition, bool]:
@@ -413,18 +412,11 @@ def orbit_divisibility(p, k, D, part=None) -> tuple[OrbitPartition, bool]:
         raise ValueError("divisibility theorem is about the Vieta (gamma) orbits")
     if p % 4 != 3 or p <= 3:
         raise ValueError("divisibility theorem needs p > 3 with p = 3 mod 4")
-    d = D.residue_mod(k) if isinstance(D, PadicInt) else D % p**k
-    if d != 0:
+    if residue_of(D, p, k) != 0:
         raise ValueError("divisibility theorem needs D = 0 mod p^k")
     if part is None:
         part = orbits(p, k, 0, gens="gamma")
     return part, all(s % p**k == 0 for s in part.orbit_sizes)
-
-
-def check_orbit_divisibility(p, k, D) -> dict:
-    """Verify p^k divides every Vieta-orbit size (p = 3 mod 4, D = 0 mod p^k)."""
-    part, divisible = orbit_divisibility(p, k, D)
-    return {"p": p, "k": k, "orbit_sizes": sorted(part.orbit_sizes), "all_divisible": divisible}
 
 
 # -- finite-orbit catalog ----------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from . import census
 from .chebyshev import Mat2, chebyshev_T_at, rotation_order
 from .flow import local_minimality_det, twisted_minimality_det
-from .padic import PadicInt, legendre, sqrt
+from .padic import PadicInt, legendre, residue_of, sqrt
 from .polydisk import PolydiskChart, parametrize, recentre
 from .surface import (
     AutWord,
@@ -45,13 +45,7 @@ SCHEMA_VERSION = 1
 
 
 def _coerce_D(D, p: int, k: int) -> PadicInt:
-    if isinstance(D, PadicInt):
-        if D.prime != p:
-            raise ValueError("prime mismatch")
-        if D.precision < k:
-            raise ValueError(f"D must carry precision >= {k}")
-        return D.truncate(k)
-    return PadicInt(p, k, D)
+    return PadicInt(p, k, residue_of(D, p, k))
 
 
 def find_special_point(p: int, D, k: int) -> SurfacePoint:

@@ -180,16 +180,7 @@ def cmd_expansions(args) -> dict:
     p, k = args.p, args.k
     route = certify.certification_route(p, k, args.D)
     _, _, chart = certify.base_point_chart(p, k, args.D, route)
-    base = chart.base
-    suites = {"xi_expansion": polydisk.verify_xi_expansion(chart)}
-    x0 = base.x.residue_mod(1)
-    if x0 in (2, p - 2):
-        suites["parab-f"] = polydisk.verify_stabilizer_expansions(chart, "parab-f")
-    else:
-        suites["nonpara-f"] = polydisk.verify_stabilizer_expansions(chart, "nonpara-f")
-    y0, z0 = base.y.residue_mod(1), base.z.residue_mod(1)
-    if y0 not in (2, p - 2) and z0 not in (2, p - 2):
-        suites["g-and-h"] = polydisk.verify_stabilizer_expansions(chart, "g-and-h")
+    suites = polydisk.verify_expansions(chart)
     passed = all(s["passed"] for s in suites.values())
     return _report(args, "expansions", suites, passed)
 

@@ -177,6 +177,15 @@ class PadicInt:
         return self.residue_mod(k) == other.residue_mod(k)
 
 
+def residue_of(value, p: int, k: int) -> int:
+    """``value`` mod p^k: an int, or a PadicInt over p known to at least k digits."""
+    if isinstance(value, PadicInt):
+        if value.prime != p:
+            raise ValueError("prime mismatch")
+        return value.residue_mod(k)
+    return value % p**k
+
+
 def valuation_str(a: PadicInt) -> str:
     """Valuation as text, with the zero-at-precision marker ``>=K``."""
     v = a.valuation()
@@ -248,7 +257,8 @@ def newton_solve(coeffs, x0: PadicInt) -> PadicInt:
     ``coeffs`` lists the coefficients of a univariate polynomial F over
     PadicInt (or plain integers) in degree order.  Requires F(x0) = 0 mod p
     and F'(x0) a unit mod p; the iteration then converges quadratically to
-    the Hensel lift at the precision of x0.
+    the Hensel lift at the precision of x0: the root is right mod p^(2^i)
+    after i steps, so (K - 1).bit_length() steps reach K.
     """
     coeffs = [x0._coerce(c) for c in coeffs]
     deriv = [c * i for i, c in enumerate(coeffs)][1:]
@@ -259,7 +269,6 @@ def newton_solve(coeffs, x0: PadicInt) -> PadicInt:
     if fx.residue % x0.prime != 0:
         raise ValueError("x0 is not an approximate root")
     x = x0
-    steps = max(1, (x0.precision - 1).bit_length() + 1)
-    for _ in range(steps):
+    for _ in range((x0.precision - 1).bit_length()):
         x = x - poly_eval(coeffs, x) * poly_eval(deriv, x).invert()
     return x

@@ -282,3 +282,15 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str) -> dict:
 
     report["passed"] = all(c["passed"] for c in report["checks"].values())
     return report
+
+
+def verify_expansions(chart: PolydiskChart) -> dict:
+    """xi's expansion, then each lemma whose +-2 mod p hypotheses the base meets."""
+    p = chart.prime
+    x0, y0, z0 = chart.base.residues(1)
+    suites = {"xi_expansion": verify_xi_expansion(chart)}
+    f_lemma = "parab-f" if x0 in (2, p - 2) else "nonpara-f"
+    suites[f_lemma] = verify_stabilizer_expansions(chart, f_lemma)
+    if y0 not in (2, p - 2) and z0 not in (2, p - 2):
+        suites["g-and-h"] = verify_stabilizer_expansions(chart, "g-and-h")
+    return suites

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import total_ordering
 
 from .chebyshev import companion_power
-from .padic import PadicInt, newton_solve
+from .padic import PadicInt, newton_solve, residue_of
 
 GENERATORS = {
     "sx": lambda x, y, z: (y * z - x, y, z),
@@ -336,10 +336,9 @@ def lift_point(triple, D, p: int, k: int) -> SurfacePoint:
 
     Two coordinates keep their integer representatives; the remaining one
     (the first with a unit partial derivative) is refined by Newton so the
-    equation holds modulo p^k.
+    equation holds modulo p^k.  D is read mod p^k (``residue_of``).
     """
-    if isinstance(D, int):
-        D = PadicInt(p, k, D)
+    D = PadicInt(p, k, residue_of(D, p, k))
     coords = [PadicInt(p, k, int(c)) for c in triple]
     i = unit_partial(triple, p)
     seed = coords.pop(i)

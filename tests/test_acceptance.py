@@ -31,15 +31,15 @@ def test_criterion_01_counting():
     ok = got == want
     if not ok:
         print(f"[criterion 01] counting mismatch: got {got}, want {want}")
-    _criterion(1, "brute-scan counts at p=5,7,11,19", ok, elapsed, 5.0)
+    _criterion(1, "quadratic-solve counts at p=5,7,11,19", ok, elapsed, 5.0)
 
 
 def test_criterion_02_orbit_divisibility():
     t0 = time.perf_counter()
     ok = True
     for p in (7, 11):
-        rep = census.check_orbit_divisibility(p, 2, 0)
-        ok = ok and rep["all_divisible"]
+        _, divisible = census.orbit_divisibility(p, 2, 0)
+        ok = ok and divisible
     _criterion(2, "Vieta orbit sizes divisible by p^2", ok, time.perf_counter() - t0, 60.0)
 
 

@@ -15,7 +15,6 @@ from markoff_padic.census import (
     _encode,
     _gen_maps,
     _sorted_distinct,
-    check_orbit_divisibility,
     check_transitivity,
     count_points,
     enumerate_points,
@@ -98,6 +97,25 @@ def test_count_is_base_times_fiber():
         count_points(7, 0, 0)
     with pytest.raises(ValueError, match="exceeds precision"):
         count_points(7, 3, PadicInt(7, 2, 0))
+
+
+def test_D_over_another_prime_is_refused():
+    # 7 over 5 is 2 mod 5: read as D = 2 it would count 22 points mod 7
+    foreign = PadicInt(5, 3, 7)
+    for call in (count_points, enumerate_points, orbits, orbit_divisibility):
+        with pytest.raises(ValueError, match="prime mismatch"):
+            call(7, 1, foreign)
+    with pytest.raises(ValueError, match="prime mismatch"):
+        lift_point((1, 4, 1), foreign, 7, 2)
+    # an int D and a same-prime D of higher precision give the same answers
+    for D in (0, 2, 7 + 49):
+        deep = PadicInt(7, 4, D)
+        assert count_points(7, 2, deep) == count_points(7, 2, D)
+        assert np.array_equal(enumerate_points(7, 2, deep), enumerate_points(7, 2, D))
+        assert orbits(7, 2, deep, "aut") == orbits(7, 2, D, "aut")
+        t = [int(c) for c in _decode(enumerate_points(7, 1, D)[0], 7)]
+        assert lift_point(t, deep, 7, 2) == lift_point(t, D, 7, 2)
+    assert orbit_divisibility(7, 2, PadicInt(7, 4, 49))[1]
 
 
 def test_count_builds_no_level_k_set():
@@ -274,11 +292,10 @@ def test_code_range_guard():
         tracemalloc.stop()
     assert "budget" not in str(exc.value) and not isinstance(exc.value, BudgetError)
     assert peak < 1 << 20
-    pts = np.arange(4, dtype=np.int64)
     with pytest.raises(ValueError, match="2\\^21"):
-        orbits(131, 3, 0, points=pts)
+        orbits(131, 3, 0)
     with pytest.raises(ValueError, match="2\\^21"):
-        check_transitivity(131, 3, 0, points=pts)
+        check_transitivity(131, 3, 0)
     # 127^3 is just below the limit: it passes the range check and meets the budget
     assert 127**3 < 2**21
     with pytest.raises(ValueError, match="budget exceeded"):
@@ -423,12 +440,11 @@ def test_aut_escape_check_survives_the_joins():
         dtype=np.int64,
     )
     assert len(subset) == 74
+    maps = _gen_maps(p, k, "aut")
     with pytest.raises(RuntimeError, match="generator image escaped the point set"):
-        orbits(p, k, D, gens="aut", points=subset)
-    with pytest.raises(RuntimeError, match="generator image escaped the point set"):
-        check_transitivity(p, k, D, "aut", points=subset)
+        partition(subset, maps[:3], maps[3:])
     # under the Vieta maps alone the subset is closed
-    assert orbits(p, k, D, gens="gamma", points=subset).orbit_sizes == [2, 72]
+    assert partition(subset, maps[:3])[0] == [2, 72]
 
 
 def test_transitivity_examples():
@@ -439,12 +455,12 @@ def test_transitivity_examples():
 
 def test_divisibility_theorem():
     for p, k in ((7, 1), (7, 2), (11, 1)):
-        rep = check_orbit_divisibility(p, k, 0)
-        assert rep["all_divisible"], rep
+        part, divisible = orbit_divisibility(p, k, 0)
+        assert divisible, part.orbit_sizes
     with pytest.raises(ValueError, match="3 mod 4"):
-        check_orbit_divisibility(5, 1, 0)
+        orbit_divisibility(5, 1, 0)
     with pytest.raises(ValueError, match="D = 0"):
-        check_orbit_divisibility(7, 2, 49 + 7)
+        orbit_divisibility(7, 2, 49 + 7)
 
 
 def test_divisibility_reads_the_given_partition(monkeypatch):

@@ -102,6 +102,23 @@ def test_budget_refusal_exits_2(capsys, monkeypatch):
         assert "budget" in captured.err and what in captured.err
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5G", "2GB", "0x10"])
+def test_malformed_max_mem_exits_2(capsys, monkeypatch, value):
+    # refused as a usage error naming the variable, not read as a budget
+    monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", value)
+    assert main(["census", "--p", "7", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" not in captured.err
+    assert "MARKOFF_PADIC_MAX_MEM must be a byte count" in captured.err
+
+
+def test_max_mem_forms(monkeypatch):
+    forms = (("512M", 512 << 20), ("2G", 2 << 30), ("1048576", 1 << 20), (" 3k ", 3 << 10))
+    for value, want in forms:
+        monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", value)
+        assert census._max_mem() == want, value
+
+
 def test_census_counts_past_the_lift_budget(capsys, monkeypatch):
     # 208 * 13^6 points mod 13^4 are counted from the 208 mod-13 points, with
     # no budget for lifting them; the level-1 solve keeps its budget

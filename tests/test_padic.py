@@ -10,6 +10,7 @@ from markoff_padic.padic import (
     legendre,
     newton_solve,
     poly_eval,
+    residue_of,
     sqrt,
     valuation_str,
 )
@@ -32,6 +33,17 @@ def test_sub_self_is_zero():
 def test_prime_mismatch():
     with pytest.raises(ValueError, match="prime mismatch"):
         PadicInt(7, 2, 1) + PadicInt(11, 2, 1)
+
+
+def test_residue_of():
+    # an int is reduced at any modulus, a PadicInt only over its own prime
+    # and within its precision
+    assert residue_of(-1, 7, 2) == 48 and residue_of(5, 9, 1) == 5
+    assert residue_of(PadicInt(7, 3, 100), 7, 2) == 100 % 49
+    with pytest.raises(ValueError, match="prime mismatch"):
+        residue_of(PadicInt(5, 3, 7), 7, 1)
+    with pytest.raises(ValueError, match="level 3 exceeds precision 2"):
+        residue_of(PadicInt(7, 2, 1), 7, 3)
 
 
 def test_rejects_two_and_composites():

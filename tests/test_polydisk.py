@@ -6,14 +6,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from markoff_padic import certify, polydisk
 from markoff_padic.census import _decode, enumerate_points
 from markoff_padic.chebyshev import chebyshev_T_at, fixed_point_Tp
-from markoff_padic.padic import PadicInt, sqrt
+from markoff_padic.padic import PadicInt, legendre, sqrt
 from markoff_padic.polydisk import (
     PolydiskChart,
     _default_samples,
     parametrize,
     recentre,
+    verify_expansions,
     verify_stabilizer_expansions,
     verify_xi_expansion,
 )
@@ -264,6 +266,33 @@ def test_unipotent_linearizations_and_gp_identity_mod_p():
         for uv in ((0, 0), (1, 2), (3, 5)):
             out = ch.apply_word_uv(w, ch.uv(*uv))
             assert (out[0].residue % p, out[1].residue % p) == uv
+
+
+def test_verify_expansions_runs_the_lemmas_whose_hypotheses_hold(monkeypatch):
+    # on the route bases of D = 0 and the first D with (D - 4 | p) = 1, and
+    # the exceptional p = 5, D = 3 base (s, 2, 0), which has no g-and-h, the
+    # suites are xi's expansion and exactly the lemmas whose own checks
+    # accept the base; one sample per suite keeps this fast
+    monkeypatch.setattr(polydisk, "_default_samples", lambda p, level, seed: [(1, 2)])
+    cases = [(5, 3)]
+    for p in range(5, 60, 2):
+        if all(p % q for q in range(3, p, 2)):
+            square = next(d for d in range(p) if legendre(PadicInt(p, 1, d - 4)) == 1)
+            cases += [(p, D) for D in dict.fromkeys((0, square))]
+    for p, D in cases:
+        route = certify.certification_route(p, 3, D)
+        _, _, chart = certify.base_point_chart(p, 3, D, route)
+        held = []
+        for lemma in ("parab-f", "nonpara-f", "g-and-h"):
+            try:
+                verify_stabilizer_expansions(chart, lemma)
+            except ValueError as exc:
+                assert "hypothesis violated" in str(exc), (p, D, lemma)
+                continue
+            held.append(lemma)
+        suites = verify_expansions(chart)
+        assert list(suites) == ["xi_expansion"] + held, (p, D)
+        assert ("parab-f" in suites) != ("nonpara-f" in suites), (p, D)
 
 
 def test_unknown_lemma():
