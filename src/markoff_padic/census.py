@@ -148,21 +148,26 @@ def _gen_maps(p: int, k: int, gens: str):
 
 
 def _brute_shard(p: int, k: int, d: int) -> np.ndarray:
-    """Encoded nonsingular points mod p^k from a scan of every triple, x by x."""
+    """Encoded nonsingular points mod p^k from a scan of every triple, x by x.
+
+    One M x M array, y down the rows and z along the columns, is updated in
+    place to y^2 + z(z - xy) + x^2 mod M (xy reduced first: values < 3 M^2).
+    """
     M = p**k
-    y = np.repeat(np.arange(M, dtype=np.int64), M)
-    z = np.tile(np.arange(M, dtype=np.int64), M)
-    yz = (y * z) % M
-    y2z2 = (y * y + z * z) % M
+    y = np.arange(M, dtype=np.int64)[:, None]
+    z = y.reshape(1, M)
+    val = np.empty((M, M), dtype=np.int64)
     out = [np.empty(0, dtype=np.int64)]
     for x in range(M):
-        val = (x * x + y2z2 - x * yz) % M
-        mask = val == d
-        if not mask.any():
-            continue
-        ys, zs = y[mask], z[mask]
+        np.copyto(val, z)
+        val -= x * y % M
+        val *= z
+        val += y * y + x * x
+        val %= M
+        ys, zs = np.divmod(np.flatnonzero(val == d), M)
         nonsing = np.any(np.array(gradient(x, ys, zs)) % p != 0, axis=0)
         out.append(_encode(np.int64(x), ys[nonsing], zs[nonsing], M))
+    del val
     return np.concatenate(out)
 
 
@@ -239,6 +244,8 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
         check_budget(need, "level-1 solve", max_mem)
         points = _solve_level1(p, d)
     elif mode == "brute":
+        # at most 2 M^2 points (p(p + 5) mod p, times p^(2k - 2) per fiber), their
+        # codes held twice while joined, once the 9 M^2 bytes of work are freed
         check_budget(8 * M * M * 4, "brute scan", max_mem, "use mode='auto' or ")
         points = _brute_shard(p, k, d)
     elif mode == "auto":
@@ -408,8 +415,11 @@ def orbit_divisibility(p, k, D, part=None) -> tuple[OrbitPartition, bool]:
     ValueError before any orbit is computed.  ``part`` is the caller's
     partition of the same set, if it has one; otherwise it is computed.
     """
-    if part is not None and part.gens != "gamma":
-        raise ValueError("divisibility theorem is about the Vieta (gamma) orbits")
+    if part is not None and (part.gens, part.p, part.level) != ("gamma", p, k):
+        raise ValueError(
+            f"divisibility theorem is about the Vieta (gamma) orbits at level {k} "
+            f"mod {p}, not {part.gens} orbits at level {part.level} mod {part.p}"
+        )
     if p % 4 != 3 or p <= 3:
         raise ValueError("divisibility theorem needs p > 3 with p = 3 mod 4")
     if residue_of(D, p, k) != 0:

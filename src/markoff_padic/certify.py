@@ -141,8 +141,6 @@ def strict_move_search(pt: SurfacePoint, budget: int = 8):
             yield word
 
     for word in candidates():
-        if not len(word):
-            continue
         d = dist(pt, apply_word(word, pt, gamma_only=True))
         if d.exponent != 1:
             continue
@@ -289,12 +287,7 @@ def _minimal_subdisk(chart: PolydiskChart, route: str, powers) -> dict:
         c2 = (chart.partial * n) * (z0 * z0 - 4).invert()
         A = Mat2(PadicInt(p, k, 1), c2, PadicInt(p, k, 0), PadicInt(p, k, 1))
         f_map = chart.point_map(rotation("y", p * p))
-        g_map = chart.point_map(
-            rotation("z", n // 2),
-            kind="affine",
-            A=A,
-            b=(PadicInt(p, k, 0), PadicInt(p, k, 0)),
-        )
+        g_map = chart.point_map(rotation("z", n // 2), kind="affine", A=A)
         witness = (0, 0)
         det, unit = twisted_minimality_det(f_map, g_map, chart.uv(*witness))
         method = "twisted"

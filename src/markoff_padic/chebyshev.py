@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .padic import PadicInt, poly_eval
+from .padic import PadicInt, _check_odd_prime, poly_eval
 
 DEGREE_CAP = 10_000
 
@@ -148,9 +148,12 @@ def _cheb_family(n: int, p: int, k: int, f_m1, f_0) -> DensePoly:
     """f_n from (f_{-1}, f_0) by f_N = x f_{N-1} - f_{N-2}, run backward below -1.
 
     Backward, f_{N-2} = x f_{N-1} - f_N is the same recurrence on the
-    sequence read from f_{-1} down, with f_0 before it.  Results of degree
-    above DEGREE_CAP are refused.
+    sequence read from f_{-1} down, with f_0 before it.  A degree above
+    DEGREE_CAP, a p that is not an odd prime, or k < 1 is refused.
     """
+    _check_odd_prime(p)
+    if k < 1:
+        raise ValueError(f"precision must be >= 1, got {k}")
     before, start, steps = (f_m1, f_0, n) if n >= 0 else (f_0, f_m1, -1 - n)
     if len(start) - 1 + steps > DEGREE_CAP:
         raise ValueError(f"degree cap {DEGREE_CAP} exceeded")

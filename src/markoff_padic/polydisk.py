@@ -127,7 +127,7 @@ def verify_xi_expansion(chart: PolydiskChart) -> dict:
     """Check xi's degree-one expansion in (y, z), mod p^2."""
     if chart.precision < 2:
         raise ValueError("precision >= 2 required")
-    p, k = chart.prime, chart.precision
+    p = chart.prime
     _, dPy, dPz = chart.base.partials()
     w = chart.partial.invert()
     s1 = -dPy * w
@@ -135,8 +135,7 @@ def verify_xi_expansion(chart: PolydiskChart) -> dict:
     samples = _default_samples(p, 1, seed=1009 * p)
     failures = []
     for iu, iv in samples:
-        u = PadicInt(p, k - 1, iu)
-        v = PadicInt(p, k - 1, iv)
+        u, v = chart.uv(iu, iv)
         lhs = chart.psi(u, v).x
         rhs = chart.base.x + s1 * u.mul_p_power(1) + s2 * v.mul_p_power(1)
         if not lhs.congruent_to(rhs, 2):
@@ -151,32 +150,28 @@ def verify_xi_expansion(chart: PolydiskChart) -> dict:
     }
 
 
-def _pair_congruent(a, b, level: int) -> bool:
-    return a[0].congruent_to(b[0], level) and a[1].congruent_to(b[1], level)
+def _run_check(chart, checks, samples) -> list[dict]:
+    """Solve each sample's chart point once and map it by every check's word.
 
-
-def _run_check(chart, word, expected_fns, level, samples) -> list[dict]:
-    """Evaluate the conjugated word once per sample against each expected map."""
-    failures = [0] * len(expected_fns)
-    first = [None] * len(expected_fns)
+    ``checks`` lists (word, expected maps, level): the chart image of the
+    word at psi(u, v) must agree mod p^level with each expected map of
+    (u, v).  One {passed, num_samples, first_failure} per expected map, in
+    order; the first failure is the first sample, in sample order, to miss.
+    """
+    flat = [(j, fn, level) for j, (_, fns, level) in enumerate(checks) for fn in fns]
+    first = [None] * len(flat)
     for iu, iv in samples:
         uv = chart.uv(iu, iv)
-        got = chart.apply_word_uv(word, uv)
-        for i, expected_fn in enumerate(expected_fns):
-            want = expected_fn(*uv)
-            if not _pair_congruent(got, want, level):
-                failures[i] += 1
-                if first[i] is None:
-                    first[i] = {
-                        "u": iu,
-                        "v": iv,
-                        "got": [g.residue_mod(level) for g in got],
-                        "want": [w.residue_mod(level) for w in want],
-                    }
-    return [
-        {"passed": n == 0, "num_samples": len(samples), "first_failure": f}
-        for n, f in zip(failures, first)
-    ]
+        pt = chart.psi(*uv)
+        images = [chart.psi_inv(apply_word(word, pt)) for word, _, _ in checks]
+        for i, (j, fn, level) in enumerate(flat):
+            got, want = images[j], fn(*uv)
+            ok = all(g.congruent_to(w, level) for g, w in zip(got, want))
+            if not ok and first[i] is None:
+                got_r, want_r = ([c.residue_mod(level) for c in t] for t in (got, want))
+                first[i] = {"u": iu, "v": iv, "got": got_r, "want": want_r}
+    n = len(samples)
+    return [{"passed": f is None, "num_samples": n, "first_failure": f} for f in first]
 
 
 def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str) -> dict:
@@ -192,17 +187,23 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str) -> dict:
         y-drift, so that version is asserted and the other reported.
     lemma "nonpara-f": x0 != +-2 mod p; (s_y s_z)^{(p^2-1)/4} is
         I + w1 w2^T plus the drift ((x0 - x1)/p) w1 mod p.
+
+    A lemma is a table of (word, expected maps, level) checks per sample
+    set, and ``_run_check`` solves each sample's chart point once for all
+    of them: g-and-h checks g and h on its mod-p samples, then g^p and h^p
+    on all its samples.
     """
     p, k = chart.prime, chart.precision
     x0, y0, z0 = chart.base.coords()
     dPx, dPy, dPz = chart.base.partials()
     n = (p * p - 1) // 2
+    checks = {}
     report = {
         "lemma": lemma,
         "p": p,
         "base": chart.base.residues(),
         "method": "pointwise congruence proxy (exhaustive mod p, sampled mod p^2)",
-        "checks": {},
+        "checks": checks,
         "notes": [],
     }
 
@@ -211,9 +212,9 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str) -> dict:
             raise ValueError("hypothesis violated: x0 must be +-2 mod p")
         word = rotation("x", p)
         samples = _default_samples(p, 1, seed=2003 * p)
-        report["checks"]["f-mod-p"] = _run_check(
-            chart, word, [lambda u, v: (u + dPy, v - dPz)], 1, samples
-        )[0]
+        (checks["f-mod-p"],) = _run_check(
+            chart, [(word, [lambda u, v: (u + dPy, v - dPz)], 1)], samples
+        )
     elif lemma == "g-and-h":
         if y0.residue % p in (2, p - 2):
             raise ValueError("hypothesis violated: y0 must not be +-2 mod p")
@@ -231,29 +232,19 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str) -> dict:
         h_word = rotation("z", n // 2)
         samples = _default_samples(p, 2, seed=3001 * p)
         mod_p_samples = [s for s in samples if s[0] < p and s[1] < p]
-        report["checks"]["g-mod-p"] = _run_check(
-            chart, g_word, [lambda u, v: (u, v + c1 * (u + dy))], 1, mod_p_samples
-        )[0]
-        report["checks"]["h-mod-p"] = _run_check(
-            chart, h_word, [lambda u, v: (u + c2 * (v + dz), v)], 1, mod_p_samples
-        )[0]
-        report["checks"]["gp-mod-p2"], z_variant = _run_check(
-            chart,
-            g_word.power(p),
-            [
-                lambda u, v: (u, v + (c1 * (u + dy)).mul_p_power(1)),
-                lambda u, v: (u, v + (c1 * (u + dz)).mul_p_power(1)),
-            ],
-            2,
-            samples,
+        g_maps = [lambda u, v: (u, v + c1 * (u + dy))]
+        h_maps = [lambda u, v: (u + c2 * (v + dz), v)]
+        mod_p = [(g_word, g_maps, 1), (h_word, h_maps, 1)]
+        checks["g-mod-p"], checks["h-mod-p"] = _run_check(chart, mod_p, mod_p_samples)
+        # g^p under the y-drift reading, then the z-drift one
+        gp_maps = [
+            lambda u, v, d=d: (u, v + (c1 * (u + d)).mul_p_power(1)) for d in (dy, dz)
+        ]
+        hp_maps = [lambda u, v: (u + (c2 * (v + dz)).mul_p_power(1), v)]
+        mod_p2 = [(g_word.power(p), gp_maps, 2), (h_word.power(p), hp_maps, 2)]
+        checks["gp-mod-p2"], z_variant, checks["hp-mod-p2"] = _run_check(
+            chart, mod_p2, samples
         )
-        report["checks"]["hp-mod-p2"] = _run_check(
-            chart,
-            h_word.power(p),
-            [lambda u, v: (u + (c2 * (v + dz)).mul_p_power(1), v)],
-            2,
-            samples,
-        )[0]
         report["notes"].append(
             {
                 "gp-constant-term": "asserted y-drift",
@@ -276,11 +267,11 @@ def verify_stabilizer_expansions(chart: PolydiskChart, lemma: str) -> dict:
             dot = w2[0] * u + w2[1] * v
             return (u + w1[0] * (dot + dx), v + w1[1] * (dot + dx))
 
-        report["checks"]["f-mod-p"] = _run_check(chart, word, [expected], 1, samples)[0]
+        (checks["f-mod-p"],) = _run_check(chart, [(word, [expected], 1)], samples)
     else:
         raise ValueError(f"unknown lemma {lemma!r}")
 
-    report["passed"] = all(c["passed"] for c in report["checks"].values())
+    report["passed"] = all(c["passed"] for c in checks.values())
     return report
 
 

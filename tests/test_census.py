@@ -230,6 +230,20 @@ def test_level1_budget_bounds_the_traced_peak():
         assert peak <= need, (p, peak, need)
 
 
+def test_brute_budget_bounds_the_traced_peak():
+    # the scan's work array and its points' codes stay within its 32 M^2
+    # byte budget (D = 0 and D = 1, levels 2 and 3)
+    for p, k, D in ((7, 2, 0), (11, 2, 0), (13, 2, 0), (5, 3, 0), (17, 2, 1), (7, 3, 1)):
+        need = 8 * p ** (2 * k) * 4
+        tracemalloc.start()
+        try:
+            enumerate_points(p, k, D, mode="brute")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (p, k, D, peak, need)
+
+
 def test_level1_solve_needs_an_odd_prime():
     # a root table mod a composite misses roots, so the solve refuses
     with pytest.raises(ValueError, match="odd prime"):
@@ -465,13 +479,19 @@ def test_divisibility_theorem():
 
 def test_divisibility_reads_the_given_partition(monkeypatch):
     # the hypotheses are refused before any orbit is computed, and a given
-    # partition is read, not recomputed
+    # partition is read, not recomputed; a partition of another level or
+    # prime is refused, not judged against p^k
     gamma, aut = orbits(7, 2, 0, "gamma"), orbits(7, 2, 0, "aut")
+    level1, mod11 = orbits(7, 1, 0, "gamma"), orbits(11, 1, 0, "gamma")
     monkeypatch.setattr(census, "orbits", None)
     assert orbit_divisibility(7, 2, 0, gamma) == (gamma, True)
-    for p, k, D, part in ((7, 2, 0, aut), (3, 1, 0, None), (5, 1, 0, None), (7, 2, 7, None)):
+    cases = [(7, 2, 0, aut), (3, 1, 0, None), (5, 1, 0, None), (7, 2, 7, None)]
+    cases += [(7, 2, 0, level1), (7, 1, 0, gamma), (7, 1, 0, mod11)]
+    for p, k, D, part in cases:
         with pytest.raises(ValueError, match="divisibility theorem"):
             orbit_divisibility(p, k, D, part)
+    with pytest.raises(ValueError, match="not gamma orbits at level 1 mod 7"):
+        orbit_divisibility(7, 2, 0, level1)
     # a partition with an orbit of size 7 is not divisible by 49
     fake = census.OrbitPartition(7, 2, "gamma", 56, [49, 7])
     assert orbit_divisibility(7, 2, 0, fake)[1] is False

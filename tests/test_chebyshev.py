@@ -340,6 +340,20 @@ def test_power_sum_identity():
     assert verify_power_sum_identity(7, 1)["frobenius_mod_p"]
 
 
+def test_families_refuse_a_modulus_outside_the_hypotheses():
+    # a composite or even p, or K < 1, is a usage error, never a failed identity
+    for p in (1, 2, 4, 9, 15):
+        for family in (chebyshev_T, chebyshev_U):
+            with pytest.raises(ValueError, match="odd prime"):
+                family(4, p, 3)
+        with pytest.raises(ValueError, match="odd prime"):
+            verify_power_sum_identity(p, 3)
+    for k in (0, -1):
+        for family in (chebyshev_T, chebyshev_U):
+            with pytest.raises(ValueError, match="precision must be >= 1"):
+                family(4, 7, k)
+
+
 def test_companion_estimates_paper_example():
     # C(2)^10 = I + 5[[2,-2],[2,-2]] mod 25, independent of u
     p, k = 5, 3

@@ -7,10 +7,13 @@ benchmark carry the same digests as ``perfbench/goldens.json``.
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
+from markoff_padic import polydisk
 from markoff_padic.cli import main
+from markoff_padic.surface import lift_point
 
 GOLDEN = {
     "certify --p 5 --d 3": "537d3e86af8337e5f2944727a56cda0e2c5e6544d2d495b16d76ff886d9406f3",
@@ -38,3 +41,18 @@ def test_report_matches_golden_digest(command):
         status = main(command.split())
     assert status == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[command]
+
+
+def test_failing_expansion_reports_match_golden_digest(monkeypatch):
+    # with T_p's fixed point taken as the identity, the drift terms of an
+    # uncentred chart are wrong, so g-and-h and nonpara-f fail: the digest
+    # pins their failure verdicts, first failures and sample counts
+    monkeypatch.setattr(polydisk, "fixed_point_Tp", lambda x: x)
+    chart = polydisk.parametrize(lift_point((1, 4, 1), 0, 7, 4))
+    reports = [
+        polydisk.verify_stabilizer_expansions(chart, lemma)
+        for lemma in ("g-and-h", "nonpara-f")
+    ]
+    assert not any(r["passed"] for r in reports)
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "563e9680de20bbe8ca6b2209ad2f98a60c990c1b08c2b1900bb3685a458f4a5c"

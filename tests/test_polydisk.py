@@ -218,22 +218,30 @@ def test_g_and_h_on_uncentred_chart_reports_drift_variant():
 
 
 def test_g_and_h_applies_each_word_once_per_sample(monkeypatch):
-    # g^p is checked against the y-drift and the z-drift reading from one image
+    # each sample's chart point is solved once per sample set, and mapped by
+    # g and h (mod-p samples), then g^p and h^p (all samples); g^p is checked
+    # against the y-drift and the z-drift reading from one image
     ch = recentre(parametrize(lift_point((1, 4, 1), 0, 7, 4)))
-    apply_word_uv = PolydiskChart.apply_word_uv
-    calls = []
+    apply_word, psi = polydisk.apply_word, PolydiskChart.psi
+    words, solves = [], []
 
-    def counted(self, word, uv):
-        calls.append(len(word))
-        return apply_word_uv(self, word, uv)
+    def counted_apply(word, pt):
+        words.append(len(word))
+        return apply_word(word, pt)
 
-    monkeypatch.setattr(PolydiskChart, "apply_word_uv", counted)
+    def counted_psi(self, u, v):
+        solves.append((u.residue, v.residue))
+        return psi(self, u, v)
+
+    monkeypatch.setattr(polydisk, "apply_word", counted_apply)
+    monkeypatch.setattr(PolydiskChart, "psi", counted_psi)
     rep = verify_stabilizer_expansions(ch, "g-and-h")
     assert rep["passed"]
     assert list(rep["checks"]) == ["g-mod-p", "h-mod-p", "gp-mod-p2", "hp-mod-p2"]
     samples = _default_samples(7, 2, seed=3001 * 7)
     mod_p = [s for s in samples if s[0] < 7 and s[1] < 7]
-    assert len(calls) == 2 * len(mod_p) + 2 * len(samples)
+    assert len(words) == 2 * len(mod_p) + 2 * len(samples)
+    assert solves == mod_p + samples
 
 
 def test_nonpara_f_expansion():
