@@ -6,9 +6,12 @@ index -1 it runs backward, f_{N-2} = x f_{N-1} - f_N, so the symmetries
 T_{-N} = T_N, U_{-N-2} = -U_N are checked (``identities``), not assumed.
 The companion matrix C(x) = [[x, -1], [1, 0]] has
 C(x)^N = [[U_N, -U_{N-1}], [U_{N-1}, -U_{N-2}]], so T_N(x) = trace C(x)^N.
-Large powers are never expanded symbolically: ``companion_power`` takes
-binary powers on the residues mod p^K, in plain int arithmetic, and wraps
-the four entries as PadicInt.
+Large powers are never expanded symbolically: one kernel, ``_mat_power``,
+takes binary powers of a 2x2 matrix on plain residues mod p^K;
+``companion_power`` wraps its four entries as PadicInt, and
+``verify_companion_estimates`` stays on residues throughout, reading
+C^{pN} as (C^N)^p.  Its PadicInt/Mat2 form is kept as the reference in
+tests/test_chebyshev.py.
 """
 
 from __future__ import annotations
@@ -179,6 +182,25 @@ def companion(x: PadicInt) -> Mat2:
     return Mat2(x, PadicInt(p, k, -1), PadicInt(p, k, 1), PadicInt(p, k, 0))
 
 
+def _mat_power(entries, n: int, M: int):
+    """The 2x2 matrix ``entries`` = (a11, a12, a21, a22) to the power n >= 0, mod M."""
+
+    def mul(A, B):
+        a, b, c, d = A
+        e, f, g, h = B
+        return ((a * e + b * g) % M, (a * f + b * h) % M,
+                (c * e + d * g) % M, (c * f + d * h) % M)
+
+    out, base = (1, 0, 0, 1), entries
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
+
+
 def companion_power(x: PadicInt, n: int) -> Mat2:
     """C(x)^n at the precision of x, by binary powers on the residues mod p^K.
 
@@ -187,20 +209,7 @@ def companion_power(x: PadicInt, n: int) -> Mat2:
     if n < 0:
         raise ValueError("negative matrix powers not supported")
     M = x.modulus
-
-    def mul(A, B):
-        a, b, c, d = A
-        e, f, g, h = B
-        return ((a * e + b * g) % M, (a * f + b * h) % M,
-                (c * e + d * g) % M, (c * f + d * h) % M)
-
-    out, base = (1, 0, 0, 1), (x.residue, M - 1, 1, 0)
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
+    out = _mat_power((x.residue, M - 1, 1, 0), n, M)
     return Mat2(*(PadicInt(x.prime, x.precision, e) for e in out))
 
 
@@ -298,35 +307,55 @@ def verify_companion_estimates(x0: PadicInt, sample_us) -> dict:
       C(x0+pu)^{2p^2} = I + p^2 [[2,-x0],[x0,-2]]                      mod p^3
     Both read C(x0+pu)^n = I + S d mod p^2 and C(x0+pu)^{pn} = I + S dp mod p^3,
     so the class picks the power n, the slope S and the drift d, and one loop
-    checks them.  Every sampled u is tested; the report carries per-sample verdicts.
+    checks them.  Every sampled u (an int, or a PadicInt over p with at least
+    two digits) is tested; the report carries per-sample verdicts.
     The estimates need p > 3: the expansion of C(x0+pu)^{2p} carries
     comb(2p+2, 3)*pu, whose /6 loses the factor 3 at p = 3.
+
+    The check runs on plain residues mod M = p^K: S and d are residues, the
+    power is ``_mat_power`` of C(x0+pu), and C^{pn} is read as (C^n)^p,
+    which holds exactly mod M.  The PadicInt/Mat2 form of the same check is
+    the reference in tests/test_chebyshev.py.
     """
     p, k = x0.prime, x0.precision
     if p <= 3:
         raise ValueError("companion estimates require p > 3")
     if k < 3:
         raise ValueError("precision >= 3 required")
-    ident, two = Mat2.identity(p, k), PadicInt(p, k, 2)
-    parabolic = x0.residue % p in (2, p - 2)
+    M, x = x0.modulus, x0.residue
+    parabolic = x % p in (2, p - 2)
     if parabolic:
-        n, slope = 2 * p, Mat2(two, -x0, x0, -two)
+        n, slope = 2 * p, (2, -x, x, -2)
     else:
         n = (p * p - 1) // 2
-        slope = Mat2(x0, -two, two, -x0).scale((x0 * x0 - 4).invert() * n)
-        offset = x0 - fixed_point_Tp(x0)
+        w = n * pow(x * x - 4, -1, M)
+        slope = (w * x, -2 * w, 2 * w, -w * x)
+        offset = (x0 - fixed_point_Tp(x0)).residue
+    ident = (1, 0, 0, 1)
     samples = []
     for u in sample_us:
-        uu = x0._coerce(u)
-        shift = uu.mul_p_power(1)
-        arg, drift = x0 + shift, p if parabolic else offset + shift
-        ok1 = companion_power(arg, n).congruent_to(ident + slope.scale(drift), 2)
-        ok2 = companion_power(arg, p * n).congruent_to(ident + slope.scale(drift * p), 3)
-        samples.append({"u": uu.residue, "mod_p2": ok1, "mod_p3": ok2})
+        if isinstance(u, PadicInt):
+            if u.prime != p:
+                raise ValueError("prime mismatch")
+            if u.precision < 2:  # p*u then has two digits, short of mod p^3
+                raise ValueError(
+                    f"level 3 exceeds available precision {u.precision + 1}"
+                )
+            r = u.residue
+        elif isinstance(u, int):
+            r = u % M
+        else:
+            raise TypeError(f"sample u = {u!r} is neither an int nor a PadicInt")
+        drift = p if parabolic else offset + p * r
+        A = _mat_power(((x + p * r) % M, M - 1, 1, 0), n, M)
+        B = _mat_power(A, p, M)
+        ok1 = all((a - e - s * drift) % p**2 == 0 for a, e, s in zip(A, ident, slope))
+        ok2 = all((b - e - s * drift * p) % p**3 == 0 for b, e, s in zip(B, ident, slope))
+        samples.append({"u": r, "mod_p2": ok1, "mod_p3": ok2})
     passed = all(s["mod_p2"] and s["mod_p3"] for s in samples)
     return {
         "p": p,
-        "x0": x0.residue,
+        "x0": x,
         "class": "parabolic" if parabolic else "generic",
         "samples": samples,
         "passed": passed,

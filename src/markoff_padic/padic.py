@@ -258,7 +258,8 @@ def newton_solve(coeffs, x0: PadicInt) -> PadicInt:
     PadicInt (or plain integers) in degree order.  Requires F(x0) = 0 mod p
     and F'(x0) a unit mod p; the iteration then converges quadratically to
     the Hensel lift at the precision of x0: the root is right mod p^(2^i)
-    after i steps, so (K - 1).bit_length() steps reach K.
+    after i steps, so (K - 1).bit_length() steps reach K.  F(x0) and F'(x0),
+    evaluated for the hypothesis checks, drive the first step.
     """
     coeffs = [x0._coerce(c) for c in coeffs]
     deriv = [c * i for i, c in enumerate(coeffs)][1:]
@@ -269,6 +270,8 @@ def newton_solve(coeffs, x0: PadicInt) -> PadicInt:
     if fx.residue % x0.prime != 0:
         raise ValueError("x0 is not an approximate root")
     x = x0
-    for _ in range((x0.precision - 1).bit_length()):
-        x = x - poly_eval(coeffs, x) * poly_eval(deriv, x).invert()
+    for step in range((x0.precision - 1).bit_length()):
+        if step:
+            fx, dfx = poly_eval(coeffs, x), poly_eval(deriv, x)
+        x = x - fx * dfx.invert()
     return x

@@ -15,6 +15,7 @@ from markoff_padic.chebyshev import (
     chebyshev_U,
     chebyshev_U_at,
     _cheb_family,
+    _mat_power,
     companion,
     companion_power,
     fixed_point_Tp,
@@ -383,6 +384,79 @@ def test_companion_estimates_sampled():
         for x0 in range(p):
             rep = verify_companion_estimates(PadicInt(p, k, x0), us)
             assert rep["passed"], rep
+
+
+def companion_estimates_reference(x0: PadicInt, sample_us) -> dict:
+    """``verify_companion_estimates`` in PadicInt/Mat2 arithmetic.
+
+    Builds I + S d and I + S dp per sample and computes C^{pn} as its own
+    power; T_p's fixed point is read through the module, so a test may
+    replace it.
+    """
+    p, k = x0.prime, x0.precision
+    ident, two = Mat2.identity(p, k), PadicInt(p, k, 2)
+    parabolic = x0.residue % p in (2, p - 2)
+    if parabolic:
+        n, slope = 2 * p, Mat2(two, -x0, x0, -two)
+    else:
+        n = (p * p - 1) // 2
+        slope = Mat2(x0, -two, two, -x0).scale((x0 * x0 - 4).invert() * n)
+        offset = x0 - chebyshev.fixed_point_Tp(x0)
+    samples = []
+    for u in sample_us:
+        uu = x0._coerce(u)
+        shift = uu.mul_p_power(1)
+        arg, drift = x0 + shift, p if parabolic else offset + shift
+        ok1 = companion_power(arg, n).congruent_to(ident + slope.scale(drift), 2)
+        ok2 = companion_power(arg, p * n).congruent_to(ident + slope.scale(drift * p), 3)
+        samples.append({"u": uu.residue, "mod_p2": ok1, "mod_p3": ok2})
+    return {
+        "p": p,
+        "x0": x0.residue,
+        "class": "parabolic" if parabolic else "generic",
+        "samples": samples,
+        "passed": all(s["mod_p2"] and s["mod_p3"] for s in samples),
+    }
+
+
+@st.composite
+def _estimate_cases(draw):
+    p = draw(st.sampled_from((5, 7, 11, 13, 31, 101)))
+    k = draw(st.integers(3, 6))
+    x0 = PadicInt(p, k, draw(st.integers(0, p**k - 1)))
+    ints = draw(st.lists(st.integers(-2 * p**k, 2 * p**k), min_size=1, max_size=4))
+    padics = [
+        PadicInt(p, j, draw(st.integers(0, p**j - 1)))
+        for j in draw(st.lists(st.integers(2, k), max_size=3))
+    ]
+    return x0, draw(st.permutations(ints + padics)), draw(st.integers(0, 10**4))
+
+
+@pytest.mark.parametrize("fixed_point", ["T_p", "identity"])
+@settings(max_examples=200, deadline=None)
+@given(_estimate_cases())
+def test_companion_estimates_match_the_reference(fixed_point, case):
+    # with T_p's fixed point taken as x0 itself the generic drift is wrong,
+    # so failing samples are compared too
+    x0, us, n = case
+    p, M = x0.prime, x0.modulus
+    with pytest.MonkeyPatch.context() as mp:
+        if fixed_point == "identity":
+            mp.setattr(chebyshev, "fixed_point_Tp", lambda x: x)
+        assert verify_companion_estimates(x0, us) == companion_estimates_reference(x0, us)
+    c = (x0.residue, M - 1, 1, 0)
+    assert _mat_power(_mat_power(c, n, M), p, M) == _mat_power(c, p * n, M)
+
+
+def test_companion_estimates_refuse_a_bad_sample():
+    x0 = PadicInt(7, 3, 1)
+    with pytest.raises(TypeError, match="1.5"):
+        verify_companion_estimates(x0, [1.5])
+    with pytest.raises(ValueError, match="prime mismatch"):
+        verify_companion_estimates(x0, [0, PadicInt(5, 3, 1)])
+    # p*u of a one-digit u is known to two digits, short of the mod-p^3 check
+    with pytest.raises(ValueError, match="level 3 exceeds available precision 2"):
+        verify_companion_estimates(x0, [PadicInt(7, 1, 1)])
 
 
 def test_companion_estimates_precision_guard():

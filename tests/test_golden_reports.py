@@ -11,8 +11,9 @@ import json
 
 import pytest
 
-from markoff_padic import polydisk
+from markoff_padic import chebyshev, polydisk
 from markoff_padic.cli import main
+from markoff_padic.padic import PadicInt
 from markoff_padic.surface import lift_point
 
 GOLDEN = {
@@ -56,3 +57,26 @@ def test_failing_expansion_reports_match_golden_digest(monkeypatch):
     assert not any(r["passed"] for r in reports)
     digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
     assert digest == "563e9680de20bbe8ca6b2209ad2f98a60c990c1b08c2b1900bb3685a458f4a5c"
+
+
+def _estimate_reports():
+    reports = []
+    for p, k in ((13, 4), (31, 5)):
+        us = list(range(-p, 2 * p)) + [p**k + 3, -(p**k) - 5]
+        for x0 in (0, 1, 2, p - 2, p + 2, p + 5, p**k - 1):
+            reports.append(chebyshev.verify_companion_estimates(PadicInt(p, k, x0), us))
+    return reports
+
+
+def test_companion_estimate_reports_match_golden_digest(monkeypatch):
+    reports = _estimate_reports()
+    assert all(r["passed"] for r in reports)
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "db6e6d2f5bd475fd4aec4d30080f657098ca23543662f96f39e402b9a8ad98cd"
+    # with T_p's fixed point taken as x0 itself, generic samples fail
+    monkeypatch.setattr(chebyshev, "fixed_point_Tp", lambda x: x)
+    reports = _estimate_reports()
+    for key in ("mod_p2", "mod_p3"):
+        assert sum(not s[key] for r in reports for s in r["samples"]) == 136
+    digest = hashlib.sha256(json.dumps(reports).encode()).hexdigest()
+    assert digest == "f79114daf7db8abb1e40c5cfd8a72143c6f77ff0280c31365c3a755df9831d3d"

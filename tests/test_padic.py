@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from markoff_padic import padic
 from markoff_padic.padic import (
     PadicInt,
     legendre,
@@ -151,6 +152,22 @@ def test_newton_solve_examples():
     assert newton_solve([-5, 1], PadicInt(11, 3, 5)).residue == 5
     with pytest.raises(ValueError, match="singular"):
         newton_solve([-7, 0, 1], PadicInt(7, 2, 0))
+
+
+def test_newton_solve_reuses_the_first_evaluation(monkeypatch):
+    # F(x0) and F'(x0) serve both the hypothesis checks and the first step,
+    # so a solve costs 2 + 2*(steps - 1) evaluations, steps = (K-1).bit_length()
+    calls = []
+
+    def counted(coeffs, x):
+        calls.append(x)
+        return poly_eval(coeffs, x)
+
+    monkeypatch.setattr(padic, "poly_eval", counted)
+    for k, want, root in ((3, 4, 108), (5, 6, 4567)):
+        calls.clear()
+        assert newton_solve([-2, 0, 1], PadicInt(7, k, 3)).residue == root
+        assert len(calls) == want
 
 
 def test_newton_solve_uniqueness_exhaustive():
