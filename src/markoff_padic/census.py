@@ -10,7 +10,7 @@ every point in O(p^2) work (``_solve_level1``), written block by block
 into one reservation of p(p + 5) codes, a bound on the points mod p.
 Higher levels lift each nonsingular mod-p point through its smooth fiber
 of exactly p^{2(k-1)} points instead of scanning p^{3k} triples.
-``_lift_all`` keeps a numpy chord-Newton over ``surface.solve_fiber``'s
+``_lift`` keeps a numpy chord-Newton over ``surface.solve_fiber``'s
 quadratic, for the coordinate that ``surface.unit_partial`` picks.  A count
 needs no lift at all: ``count_points`` multiplies the mod-p points by the
 fiber size.  ``enumerate_points``' mode "brute", the O(p^{3k}) scan of
@@ -38,6 +38,25 @@ argument).  ``partition`` is the seed loop for any sorted set and maps
 (``certify`` runs it on chart residues): the next orbit's seed, the least
 unvisited index, comes from one vectorized forward scan of the visited
 flags.  A request over the memory budget raises ``BudgetError``.
+
+A single orbit at level k >= 2 is proved without enumerating level k.  If
+the group is transitive on X_{j-1} and the stabilizer G_t of one point t
+is transitive on the fiber over t, the p^2 points of X_j that reduce to
+t, then it is transitive on X_j.  Schreier's lemma gives elements of G_t:
+for a BFS tree from t with path words phi_u, each edge u -> g(u) gives the
+loop phi_{g(u)}^-1 g phi_u, and as every letter is an involution, a
+word's inverse is its reversal.  The loops at level 1 come from the
+letters' BFS over X_1; those at level j from the BFS of the fiber at
+level j - 1 under the loops that were transitive on it.  A sample of
+loops generates a subgroup of G_t, so one orbit under it on the fiber is
+a proof, and several orbits prove nothing: ``orbits`` then enumerates and
+runs the BFS.  Either way the partition is exact; the sample only picks
+the path.  A loop is kept as a reduced Vieta word followed by one element
+of H (``_normal_form``), since each h in H moves past a Vieta letter as
+h s_a = s_b h; the words still grow about 2.5-4x a level at small p.  The proof holds
+O(|X_1| + p^2) arrays and its loop words, budgeted like the rest: when
+the words would pass the budget, the loops run out and ``orbits`` falls
+back to the lift, which refuses as its own budget says.
 """
 
 from __future__ import annotations
@@ -46,6 +65,8 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import Callable
 
 import numpy as np
 
@@ -55,6 +76,9 @@ from .surface import ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, un
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
 MAX_MODULUS = 1 << 21  # p^k must stay below this so codes < M^3 fit in int64
 SOLVE_BLOCK = 1 << 14  # (x, y) cells per block of the level-1 solve
+FIBER_LOOPS = 32  # Schreier loops tried per level before the BFS takes over
+LOOP_ROUND = 8  # loops added between two searches of a fiber
+LETTER_BYTES = 36  # per loop letter: 8 in its word, the rest for the lists it is built from
 
 
 class BudgetError(ValueError):
@@ -252,24 +276,31 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
         base = enumerate_points(p, 1, d % p, max_mem=max_mem)
         fiber = p ** (2 * (k - 1))
         check_budget(8 * len(base) * fiber * 4, "lifting", max_mem)
-        return _lift_all(base, p, k, d)
+        return _lift(base, p, 1, k, d)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     points.sort()
     return points
 
 
-def _lift_all(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
-    """Lift every mod-p point through its fiber of p^{2(k-1)} points."""
+def _lift(base_codes: np.ndarray, p: int, level: int, k: int, d: int) -> np.ndarray:
+    """Sorted codes mod p^k of the points over each point mod p^level in ``base_codes``.
+
+    Each fiber has p^{2(k-level)} points: the two free coordinates run over
+    t + p^level s, and the solved one (``unit_partial``) takes k - level
+    chord-Newton steps from t, each gaining at least one digit.
+    """
+    if not len(base_codes):  # no point to lift: build no fiber-sized work arrays
+        return np.empty(0, dtype=np.int64)
     M = p**k
-    r = p ** (k - 1)
-    steps = np.arange(r, dtype=np.int64) * p
+    r = p ** (k - level)
+    steps = np.arange(r, dtype=np.int64) * p**level
     free1 = np.repeat(steps, r)
     free2 = np.tile(steps, r)
     fiber = r * r
     out = np.empty(len(base_codes) * fiber, dtype=np.int64)
     for j, code in enumerate(base_codes):
-        triple = [int(c) for c in _decode(np.int64(code), p)]
+        triple = [int(c) for c in _decode(np.int64(code), p**level)]
         solved = unit_partial(triple, p)
         w = pow(gradient(*triple)[solved] % p, -1, M)
         c = np.full_like(free1, triple.pop(solved))
@@ -277,7 +308,7 @@ def _lift_all(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
         b = (triple[1] + free2) % M
         ab = (a * b) % M
         rest = (a * a % M + b * b % M - d) % M
-        for _ in range(k - 1):
+        for _ in range(k - level):
             f_val = (c * c % M + rest - ab * c % M) % M
             c = (c - f_val * w) % M
         coords = [a, b]
@@ -291,7 +322,7 @@ def count_points(p, k, D, workers=1) -> dict:
     """Cardinality of the level-k point set, with the p(p-3) formula check.
 
     Each nonsingular mod-p point has exactly p^{2(k-1)} lifts mod p^k (its
-    smooth fiber, which ``_lift_all`` walks), so the count is the number of
+    smooth fiber, which ``_lift`` walks), so the count is the number of
     mod-p points times p^{2(k-1)}, and nothing above level 1 is built.
     p^k >= 2^21 is still refused, as ``enumerate_points`` refuses it.
     ``workers`` only reaches the level-1 ``enumerate_points`` call, which
@@ -315,26 +346,44 @@ def count_points(p, k, D, workers=1) -> dict:
 
 @dataclass
 class OrbitPartition:
-    """Orbits of the generator action on the level-k point set."""
+    """Orbits of the generator action on the level-k point set.
+
+    ``representatives`` are the least codes of the orbits, in orbit order.
+    A partition proved transitive without enumerating level k holds a
+    function in their place, called on the first read.
+    """
 
     p: int
     level: int
     gens: str
     total: int
     orbit_sizes: list[int] = field(default_factory=list)
-    representatives: list[tuple[int, int, int]] = field(default_factory=list)
+    _reps: list[tuple[int, int, int]] | Callable[[], list[tuple[int, int, int]]] = field(
+        default_factory=list, repr=False, compare=False
+    )
+
+    @property
+    def representatives(self) -> list[tuple[int, int, int]]:
+        if callable(self._reps):
+            self._reps = self._reps()
+        return self._reps
 
     @property
     def transitive(self) -> bool:
         return len(self.orbit_sizes) == 1
 
 
+def _locate(points: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """Indices of ``images`` in the sorted ``points``, every one of which must be there."""
+    found = np.searchsorted(points, images)
+    if np.any(found >= len(points)) or np.any(points[found] != images):
+        raise RuntimeError("generator image escaped the point set")
+    return found
+
+
 def _visit_images(points: np.ndarray, maps, idx: np.ndarray, visited) -> np.ndarray:
     """Indices of the unvisited images of ``points[idx]`` under ``maps``, now marked."""
-    imgs = _sorted_distinct(np.concatenate([m(points[idx]) for m in maps]))
-    found = np.searchsorted(points, imgs)
-    if np.any(found >= len(points)) or np.any(points[found] != imgs):
-        raise RuntimeError("generator image escaped the point set")
+    found = _locate(points, _sorted_distinct(np.concatenate([m(points[idx]) for m in maps])))
     new = found[~visited[found]]
     visited[new] = True
     return new
@@ -362,11 +411,24 @@ def _expand_orbit(points: np.ndarray, maps, seed_idx: int, visited, joins=()) ->
 def orbits(p, k, D, gens="gamma") -> OrbitPartition:
     """Partition of the level-k point set under the chosen generator family.
 
+    At k >= 2 a single orbit is first proved (``_lifts_transitive``): a
+    BFS of X_1 under the letters reaches every point, and at each level
+    j = 2..k the stabilizer G_t of one point t of X_{j-1} is transitive on
+    the p^2 points of X_j over t, which makes X_j one orbit.  Schreier
+    loops at t, words phi_{g(u)}^-1 g phi_u of a BFS tree that fix t,
+    generate a subgroup of G_t, so one orbit of theirs on those p^2 points
+    proves the level (the module docstring gives the argument).  Then the partition is
+    the whole set, |X_1| p^{2(k-1)} points, and its representative, the
+    least code, is enumerated only when it is read.  Otherwise (the action
+    splits mod p, the sampled loops leave a fiber split, or their words
+    outgrow the budget) the level-k set is enumerated and partitioned by
+    BFS, so the result is exact either way.
+
     The BFS runs the three Vieta involutions, and for "aut" joins
     their orbits by H, the group of order 24 that the double sign changes
     ex, ey, ez and the transpositions pxy, pyz, pzx generate.  Each h in H
-    is an involution with h s_a h = s_pi(a) for a permutation pi of the
-    Vieta letters, so h maps the Vieta orbit of t onto the Vieta orbit of
+    has h s_a h^-1 = s_pi(a) for a permutation pi of the Vieta letters
+    (``_h_moves``), so h maps the Vieta orbit of t onto the Vieta orbit of
     h(t), and the Aut orbit of t is the union of the Vieta orbits of H t.
     Once the Vieta orbit of t is expanded, the six letters act on t alone,
     and every unvisited image seeds a further Vieta orbit of the same Aut
@@ -376,11 +438,216 @@ def orbits(p, k, D, gens="gamma") -> OrbitPartition:
     are the least unvisited indices (``partition``).
     """
     M = _code_modulus(p, k)
+    if k >= 2:
+        base = enumerate_points(p, 1, D)
+        if _lifts_transitive(base, p, k, residue_of(D, p, k), _family(gens)):
+            total = len(base) * p ** (2 * (k - 1))
+
+            def least():
+                return [tuple(int(c) for c in _decode(enumerate_points(p, k, D)[0], M))]
+
+            return OrbitPartition(p, k, gens, total, [total], least)
     points = enumerate_points(p, k, D)
     maps = _gen_maps(p, k, gens)
     sizes, seeds = partition(points, maps[:3], maps[3:])
     reps = list(zip(*(c.tolist() for c in _decode(points[seeds], M))))
     return OrbitPartition(p, k, gens, int(len(points)), sizes, reps)
+
+
+def _word_perm(points: np.ndarray, word, M: int) -> np.ndarray:
+    """Index in the sorted ``points`` of each point's image under ``word``, mod M."""
+    act = {g: _residue_action(g, M) for g in set(word)}
+    triple = _decode(points, M)
+    for g in reversed(word):  # the rightmost letter acts first
+        triple = act[g](*triple)
+    return _locate(points, _encode(*triple, M))
+
+
+def _h_moves() -> tuple[dict, dict]:
+    """H's 24 elements, each named by its image of (1, 2, 3): how letters move past them.
+
+    Every letter of H is a signed permutation of the coordinates.  For an
+    element e and a letter g, ``moves[e][g]`` is the element e g when g is
+    in H, and for a Vieta letter s_a the letter e s_a e^-1, the Vieta
+    involution of the coordinate that e fills from coordinate a.  ``words[e]``
+    is a shortest word for e in H's letters.
+    """
+    words, moves = {(1, 2, 3): ()}, {}
+    queue = deque(words)
+    while queue:
+        e = queue.popleft()
+        moves[e] = {}
+        for g in ALL_LETTERS:
+            if g in VIETA_LETTERS:
+                a = VIETA_LETTERS.index(g) + 1
+                moves[e][g] = VIETA_LETTERS[[abs(c) for c in e].index(a)]
+                continue
+            image = generator_formula(g)(1, 2, 3)
+            eg = moves[e][g] = tuple(image[c - 1] if c > 0 else -image[-c - 1] for c in e)
+            if eg not in words:
+                words[eg] = (*words[e], g)
+                queue.append(eg)
+    return moves, words
+
+
+_H_MOVES, _H_WORDS = _h_moves()
+
+
+def _normal_form(word) -> tuple[str, ...]:
+    """The map of ``word`` as a freely reduced Vieta word, then a shortest word in H.
+
+    Each letter of H moves right past a Vieta letter as e s_a = s_b e
+    (``_h_moves``), and the letters of H multiply to one element there;
+    adjacent equal Vieta letters cancel, as every letter is an involution.
+    """
+    out: list[str] = []
+    e = (1, 2, 3)
+    for g in word:
+        move = _H_MOVES[e][g]
+        if isinstance(move, tuple):
+            e = move
+        elif out and out[-1] == move:
+            out.pop()
+        else:
+            out.append(move)
+    return (*out, *_H_WORDS[e])
+
+
+def _bfs_tree(perms):
+    """BFS tree from index 0 under the permutations ``perms``, or None if it misses an index.
+
+    The tree edge into node v leaves ``parent[v]`` by ``perms[step[v]]``:
+    of the edges from the layer before, the first with nodes in BFS order
+    and each node's permutations in order.  Returns ``(parent, step,
+    layers)``.  The permutations are taken one at a time, so besides the
+    three arrays a layer holds its own images only.
+    """
+    m, n = len(perms), len(perms[0])
+    parent = np.full(n, -1, dtype=np.int64)
+    step = np.full(n, -1, dtype=np.int64)
+    first = np.full(n, m * n, dtype=np.int64)  # least edge (position * m + word) into a node
+    parent[0] = 0
+    layers = [np.zeros(1, dtype=np.int64)]
+    while layers[-1].size:
+        edges = np.arange(0, m * layers[-1].size, m, dtype=np.int64)
+        reached = []
+        for i, perm in enumerate(perms):
+            image = perm[layers[-1]]
+            fresh = parent[image] < 0
+            image = image[fresh]
+            least = first[image]
+            reached.append(image[least == m * n])
+            first[image] = np.minimum(least, edges[fresh] + i)
+        new = np.concatenate(reached)
+        new = new[np.argsort(first[new])]
+        parent[new], step[new] = layers[-1][first[new] // m], first[new] % m
+        first[new] = m * n
+        layers.append(new)
+    return None if np.any(parent < 0) else (parent, step, layers)
+
+
+def _schreier_loops(words, perms, tree, max_letters: int):
+    """Distinct nontrivial Schreier generators of the stabilizer of index 0.
+
+    ``perms[i]`` is the action of ``words[i]`` on a set of indices, and
+    ``tree`` their ``_bfs_tree``, whose path word phi_u maps 0 to u.  Each
+    non-tree edge u -> v = g(u) gives the loop phi_v^-1 g phi_u, which
+    fixes 0 (Schreier's lemma: these generate its stabilizer in the group
+    the words generate, as that group is transitive on the set).  Words
+    are letter tuples, rightmost letter first, so a word's inverse is its
+    reversal.  Each loop is put in ``_normal_form``, and neither it nor its
+    inverse is repeated.  The loops stop before one whose unreduced word
+    would take the letters yielded past ``max_letters``.
+
+    The edges are taken deepest first, each followed by one of an even
+    spread over all of them.  Loops near 0 generate little: at p = 11,
+    D = 0 the first 32 in BFS order leave the 121 lifts of 0 mod p^2 in 66
+    Aut orbits.  Deep loops whose paths share a long stem are conjugates,
+    by that stem, of short loops where the paths part: at p = 23, D = 51
+    the 64 deepest all fix one of the 529 lifts.
+    """
+    parent, step, layers = tree
+    size = np.array([len(w) for w in words], dtype=np.int64)
+    reach = np.zeros(len(parent), dtype=np.int64)  # letters of each path word
+    for layer in layers[1:]:
+        reach[layer] = reach[parent[layer]] + size[step[layer]]
+    deep = np.concatenate(layers)[::-1]
+    # loose[r, i]: the edge from deep[r] by words[i] is not a tree edge
+    loose = np.stack(
+        [(parent[perm[deep]] != deep) | (step[perm[deep]] != i) for i, perm in enumerate(perms)],
+        axis=1,
+    )
+    ends = np.cumsum(loose.sum(axis=1))
+
+    def edge(j):
+        """The j-th non-tree edge (u, i), deepest u first."""
+        r = int(np.searchsorted(ends, j, side="right"))
+        return int(deep[r]), int(np.flatnonzero(loose[r])[j - (ends[r - 1] if r else 0)])
+
+    def path(v):
+        letters = []
+        while v:
+            letters.extend(words[step[v]])
+            v = int(parent[v])
+        return letters
+
+    count = int(ends[-1])
+    spread = range(0, count, max(1, count // FIBER_LOOPS))
+    seen = set()
+    for u, i in map(edge, chain(chain.from_iterable(zip(range(count), spread)), range(count))):
+        v = int(perms[i][u])
+        if reach[v] + size[i] + reach[u] > max_letters:
+            return
+        loop = _normal_form(chain(reversed(path(v)), words[i], path(u)))
+        if loop and loop not in seen and _normal_form(reversed(loop)) not in seen:
+            seen.add(loop)
+            max_letters -= len(loop)
+            yield loop
+
+
+def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool:
+    """True when the letters are proved transitive on the level-1 set ``base`` and up to level k.
+
+    Each set is settled by one ``_bfs_tree``: a missed point means several
+    orbits, and a tree that reaches every point gives the loops of the
+    next level.  Level by level (the module docstring gives the argument),
+    t is the least point of the last set (``base`` at j = 2), and its loops
+    (``_schreier_loops``) come from the words whose tree that is: the
+    letters on X_1, then the loops of level j - 1 on their fiber.  They are
+    added LOOP_ROUND at a time, up to FIBER_LOOPS, until their tree reaches
+    all p^2 points over t.  If the loops run out first, nothing is proved
+    and this returns False.
+    """
+    if not len(base):
+        return False
+    # per level-1 point: each letter's permutation, the BFS tree and the
+    # loop search's arrays (traced peaks 66 and 117 bytes a point for the 3
+    # and 9 letters); per fiber point: a level's FIBER_LOOPS permutations and
+    # their BFS, two levels of them from j = 3 (traced peaks up to 465 bytes
+    # a point with every loop drawn).  The loop words' letters have the rest
+    # of the budget, LETTER_BYTES each
+    per_fiber = 8 * p**2 * (FIBER_LOOPS + 16)
+    need = max(8 * len(base) * (len(letters) + 10) + per_fiber, 2 * per_fiber if k > 2 else 0)
+    check_budget(need, "fiber proof")
+    max_letters = (_max_mem() - need) // LETTER_BYTES
+    points, M = base, p
+    words = [(g,) for g in letters]
+    perms = [_word_perm(points, w, M) for w in words]
+    tree = _bfs_tree(perms)  # None when the letters leave X_1 in several orbits
+    for j in range(2, k + 1):
+        if tree is None:
+            return False
+        fiber = _lift(points[:1], p, j - 1, j, d)
+        M *= p
+        held = sum(map(len, words))
+        schreier = islice(_schreier_loops(words, perms, tree, max_letters - held), FIBER_LOOPS)
+        loops, loop_perms, tree = [], [], None
+        while tree is None and (batch := list(islice(schreier, LOOP_ROUND))):
+            loops += batch
+            loop_perms += [_word_perm(fiber, loop, M) for loop in batch]
+            tree = _bfs_tree(loop_perms)
+        points, words, perms = fiber, loops, loop_perms
+    return tree is not None
 
 
 def partition(points: np.ndarray, maps, joins=()) -> tuple[list[int], list[int]]:

@@ -93,11 +93,10 @@ def cmd_orbits(args) -> dict:
         "divisibility": divisibility,
     }
     if args.csv:
+        reps = part.representatives  # a proved orbit lifts here, before the file opens
         with open(args.csv, "w") as fh:
             fh.write("orbit,size,x,y,z\n")
-            for i, (size, rep) in enumerate(
-                zip(part.orbit_sizes, part.representatives)
-            ):
+            for i, (size, rep) in enumerate(zip(part.orbit_sizes, reps)):
                 fh.write(f"{i},{size},{rep[0]},{rep[1]},{rep[2]}\n")
     return _report(args, "orbits", result, divisibility is not False)
 

@@ -63,6 +63,17 @@ class PadicInt:
             return PadicInt(self.prime, self.precision, other)
         return NotImplemented
 
+    def _operand(self, other) -> "PadicInt":
+        """``other`` as a PadicInt over this prime, or a TypeError that names it.
+
+        The operators return ``NotImplemented`` (``_coerce``) so Python can
+        try the other operand; the methods that take a value call this.
+        """
+        value = self._coerce(other)
+        if value is NotImplemented:
+            raise TypeError(f"{other!r} is neither an int nor a PadicInt")
+        return value
+
     # -- ring structure (min-precision rule) -----------------------------
 
     def __add__(self, other) -> "PadicInt":
@@ -168,7 +179,7 @@ class PadicInt:
 
     def congruent_to(self, other, level: int | None = None) -> bool:
         """True if the two values agree modulo p^level (default: min precision)."""
-        other = self._coerce(other)
+        other = self._operand(other)
         k = min(self.precision, other.precision)
         if level is not None:
             if level > k:
@@ -261,7 +272,7 @@ def newton_solve(coeffs, x0: PadicInt) -> PadicInt:
     after i steps, so (K - 1).bit_length() steps reach K.  F(x0) and F'(x0),
     evaluated for the hypothesis checks, drive the first step.
     """
-    coeffs = [x0._coerce(c) for c in coeffs]
+    coeffs = [x0._operand(c) for c in coeffs]
     deriv = [c * i for i, c in enumerate(coeffs)][1:]
     fx = poly_eval(coeffs, x0)
     dfx = poly_eval(deriv, x0)

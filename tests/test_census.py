@@ -112,7 +112,8 @@ def test_D_over_another_prime_is_refused():
         deep = PadicInt(7, 4, D)
         assert count_points(7, 2, deep) == count_points(7, 2, D)
         assert np.array_equal(enumerate_points(7, 2, deep), enumerate_points(7, 2, D))
-        assert orbits(7, 2, deep, "aut") == orbits(7, 2, D, "aut")
+        a, b = orbits(7, 2, deep, "aut"), orbits(7, 2, D, "aut")
+        assert a == b and a.representatives == b.representatives
         t = [int(c) for c in _decode(enumerate_points(7, 1, D)[0], 7)]
         assert lift_point(t, deep, 7, 2) == lift_point(t, D, 7, 2)
     assert orbit_divisibility(7, 2, PadicInt(7, 4, 49))[1]
@@ -465,6 +466,165 @@ def test_transitivity_examples():
     assert check_transitivity(7, 1, 0, "aut")
     assert check_transitivity(7, 2, 0, "aut")
     assert check_transitivity(5, 1, 3, "aut")
+
+
+def _bfs_reference(p, k, D, gens):
+    """Sizes and representatives of the enumerating BFS, ``orbits``' fallback."""
+    pts = enumerate_points(p, k, D)
+    maps = _gen_maps(p, k, gens)
+    sizes, seeds = partition(pts, maps[:3], maps[3:])
+    return sizes, [tuple(int(c) for c in _decode(pts[s], p**k)) for s in seeds]
+
+
+@pytest.mark.parametrize("p, k", [(5, 2), (7, 2), (5, 3)])
+def test_orbits_match_the_bfs_reference_in_every_class(p, k, monkeypatch):
+    # every D mod p^2 (mod 125 at level 3), both families: sizes, their
+    # order and the representatives; every one-orbit class here is proved
+    # (28, 48 and 140 of them), none falls back to the BFS
+    proofs = []
+    lifts = census._lifts_transitive
+    monkeypatch.setattr(
+        census, "_lifts_transitive", lambda *a: proofs.append(lifts(*a)) or proofs[-1]
+    )
+    one_orbit = 0
+    for D in range(p ** min(k, 3)):
+        for gens in ("gamma", "aut"):
+            part = orbits(p, k, D, gens)
+            sizes, reps = _bfs_reference(p, k, D, gens)
+            assert (part.orbit_sizes, part.representatives) == (sizes, reps), (p, k, D, gens)
+            assert part.total == sum(sizes)
+            one_orbit += len(sizes) == 1
+    assert sum(proofs) == one_orbit > 0
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from([(p, k) for p in (3, 5, 7, 11, 13) for k in (2, 3) if p**k < 2000]),
+    st.integers(0, 10**6),
+    st.sampled_from(("gamma", "aut")),
+)
+def test_orbits_match_the_bfs_reference(pk, D, gens):
+    # 13^3 is left out: its 5.9M-point reference BFS alone takes seconds
+    p, k = pk
+    part = orbits(p, k, D, gens)
+    assert (part.orbit_sizes, part.representatives) == _bfs_reference(p, k, D, gens)
+
+
+def test_a_split_fiber_falls_back_to_the_bfs():
+    # one Aut orbit mod 7 at D = 3, but two at level 2: no loop sample can
+    # prove a split transitive, so the enumerating BFS answers exactly
+    assert orbits(7, 1, 3, "aut").orbit_sizes == [36]
+    assert not census._lifts_transitive(enumerate_points(7, 1, 3), 7, 2, 3, ALL_LETTERS)
+    part = orbits(7, 2, 3, "aut")
+    assert (part.orbit_sizes, part.representatives) == ([36, 1728], [(10, 1, 0), (22, 3, 0)])
+
+
+def test_a_proof_enumerates_no_level_k_set(monkeypatch):
+    # (13, 4, 0) needs ~32 GB to lift; the proof works on fibers of 169 points
+    real = census.enumerate_points
+    asked = []
+
+    def level1_only(p, k, D, **kw):
+        asked.append(k)
+        return real(p, k, D, **kw)
+
+    monkeypatch.setattr(census, "enumerate_points", level1_only)
+    tracemalloc.start()
+    try:
+        part = orbits(13, 4, 0, "aut")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert part.transitive and part.orbit_sizes == [part.total] == [208 * 13**6]
+    assert asked == [1] and peak < 4 << 20
+    # the representative, the least level-k code, is enumerated on its first read
+    part = orbits(7, 3, 0, "aut")
+    assert max(asked) == 1
+    assert part.representatives == [tuple(int(c) for c in _decode(real(7, 3, 0)[0], 7**3))]
+    assert 3 in asked
+    with pytest.raises(BudgetError, match="lifting"):
+        orbits(13, 4, 0, "aut").representatives
+
+
+def test_fiber_proof_budget_bounds_the_traced_peak(monkeypatch):
+    # the level-1 arrays and the fiber permutations stay within the budget
+    # the proof is checked against, also when the top fiber splits under
+    # every one of its FIBER_LOOPS loops, and a smaller budget refuses it
+    level, bfs_tree = [], census._bfs_tree
+    lift = census._lift
+    monkeypatch.setattr(census, "_lift", lambda *a: level.append(a[3]) or lift(*a))
+    for p, k, gens in ((211, 2, "aut"), (211, 2, "gamma"), (101, 3, "aut"), (101, 3, "gamma")):
+        base = enumerate_points(p, 1, 0)
+        letters = census._family(gens)
+        fiber = 8 * p**2 * (census.FIBER_LOOPS + 16)
+        need = max(8 * len(base) * (len(letters) + 10) + fiber, 2 * fiber if k > 2 else 0)
+        for split in (False, True):
+            level.clear()
+            monkeypatch.setattr(
+                census,
+                "_bfs_tree",
+                lambda perms: None if split and level[-1:] == [k] else bfs_tree(perms),
+            )
+            tracemalloc.start()
+            try:
+                assert census._lifts_transitive(base, p, k, 0, letters) is not split
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= need, (p, k, gens, split, peak, need)
+    monkeypatch.setattr(census, "_bfs_tree", bfs_tree)
+    monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "2M")  # the level-1 solve needs 1.3 MB
+    with pytest.raises(BudgetError, match="fiber proof"):
+        orbits(101, 2, 0, "aut")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from(ALL_LETTERS), max_size=40),
+    st.tuples(*[st.integers(0, 7**3 - 1)] * 3),
+)
+def test_loop_normal_form_is_the_same_map(word, triple):
+    # a reduced Vieta word, then at most three letters of H, acting as the word does
+    def act(w):
+        t = triple
+        for g in reversed(w):  # the rightmost letter acts first
+            t = census._residue_action(g, 7**3)(*t)
+        return t
+
+    form = census._normal_form(word)
+    vieta = [g for g in form if g in VIETA_LETTERS]
+    assert act(form) == act(word) and census._normal_form(form) == form
+    assert form[: len(vieta)] == tuple(vieta) and len(form) - len(vieta) <= 3
+    assert all(a != b for a, b in zip(vieta, vieta[1:]))
+    assert len(census._H_WORDS) == 24
+
+
+def test_loop_words_stay_within_the_budget(monkeypatch):
+    # loop words grow 2.5-4x a level at small p: (3, 13, 5) ends holding
+    # 2.9M letters.  Under 2 MB the proof stops at its share of letters,
+    # inside the traced budget, and the fallback's lift refuses as it does
+    # for a class that splits
+    monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "2M")
+    for p, k, D in ((5, 9, 0), (3, 13, 5)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="lifting"):
+                orbits(p, k, D, "aut")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20, (p, k, D, peak)
+    # a budget that holds the words proves the class
+    monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "8M")
+    assert orbits(5, 7, 0, "aut").orbit_sizes == [40 * 5**12]
+
+
+def test_no_point_mod_p_lifts_to_no_point():
+    # x^2 + y^2 + z^2 = xyz has no nonsingular point mod 3, and an empty
+    # base builds no fiber-sized work arrays (3^22 offsets at level 12)
+    assert len(enumerate_points(3, 1, 0)) == 0
+    assert len(enumerate_points(3, 12, 0)) == 0
+    assert orbits(3, 12, 0, "aut").orbit_sizes == []
 
 
 def test_divisibility_theorem():

@@ -194,6 +194,19 @@ def test_orbits_csv_export(tmp_path, capsys):
     assert rep["result"]["divisibility"] is True
 
 
+def test_a_proved_orbit_lifts_only_for_its_csv(tmp_path, capsys, monkeypatch):
+    # (7, 3, 0) is proved one Aut orbit under a 1 MB budget; its CSV needs
+    # the least code, whose 2.2 MB lift is refused before the file opens
+    monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "1M")
+    code, rep = _run(capsys, "orbits", "--gens", "aut", "--p", "7", "--k", "3")
+    assert code == 0 and rep["result"]["orbit_sizes"] == [28 * 7**4]
+    kept = tmp_path / "kept.csv"
+    kept.write_text("earlier csv\n")
+    assert main(["orbits", "--gens", "aut", "--p", "7", "--k", "3", "--csv", str(kept)]) == 2
+    assert "budget exceeded" in capsys.readouterr().err
+    assert kept.read_text() == "earlier csv\n"
+
+
 def test_unwritable_paths_exit_2(tmp_path, capsys, monkeypatch):
     # a report or CSV path that cannot be opened is a usage error, not a
     # mathematical failure

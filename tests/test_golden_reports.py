@@ -44,6 +44,22 @@ def test_report_matches_golden_digest(command):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == GOLDEN[command]
 
 
+# sha256 of the --csv files, recorded when every orbit came from the BFS: a
+# partition proved transitive still writes its least code as representative
+GOLDEN_CSV = {
+    "orbits --gens aut --p 7 --k 2": "0f1fab672f44ea5a9f27da05fea76c9d7ed59bc9b02e15009be4c86cf794d3b8",
+    "orbits --gens aut --p 7 --k 2 --d 3": "20d4b6133f35a09cfd42b82d62a6cd560b5f16ffaf4ebc713d9bee73d170cbb1",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_CSV))
+def test_orbit_csv_matches_golden_digest(command, tmp_path):
+    path = tmp_path / "orbits.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*command.split(), "--csv", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV[command]
+
+
 def test_failing_expansion_reports_match_golden_digest(monkeypatch):
     # with T_p's fixed point taken as the identity, the drift terms of an
     # uncentred chart are wrong, so g-and-h and nonpara-f fail: the digest

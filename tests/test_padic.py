@@ -36,6 +36,18 @@ def test_prime_mismatch():
         PadicInt(7, 2, 1) + PadicInt(11, 2, 1)
 
 
+def test_a_value_of_another_type_is_named():
+    # the methods that take a value name it; the operators leave it to Python
+    a = PadicInt(7, 3, 1)
+    with pytest.raises(TypeError, match="1.5 is neither an int nor a PadicInt"):
+        a.congruent_to(1.5)
+    with pytest.raises(TypeError, match="1.5 is neither an int nor a PadicInt"):
+        newton_solve([1.5, 1], a)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        a + 1.5
+    assert a.congruent_to(8, 1) and newton_solve([-1, 1], a).residue == 1
+
+
 def test_residue_of():
     # an int is reduced at any modulus, a PadicInt only over its own prime
     # and within its precision
