@@ -27,7 +27,8 @@ Generator images evaluate ``surface.GENERATORS``, the one definition of the
 action, on residues mod M (numpy arrays in the orbit BFS, int triples in
 ``residue_bfs``) and reduce only the coordinates a letter rewrites: the
 others are inputs, already reduced, and reducing all three measured 5-17%
-slower in the orbit BFS.
+slower in the orbit BFS.  The fiber fit (below) runs the formulas on three
+int triples and reduces all three coordinates, the cheaper way on ints.
 
 The orbit BFS runs the three Vieta involutions only.  The other six
 letters generate a group H of order 24 that normalizes the Vieta group, so
@@ -57,6 +58,24 @@ h s_a = s_b h; the words still grow about 2.5-4x a level at small p.  The proof 
 O(|X_1| + p^2) arrays and its loop words, budgeted like the rest: when
 the words would pass the budget, the loops run out and ``orbits`` falls
 back to the lift, which refuses as its own budget says.
+
+A loop acts on the fiber over t as an affine map of F_p^2, so three
+points fit its permutation.  Let j >= 2, let t~ in X_j be the lift of t
+whose free offsets are 0, and let w fix t mod p^(j-1).  As w has integer
+coefficients and p^(2(j-1)) = 0 mod p^j, w(t~ + p^(j-1) h) = w(t~) +
+p^(j-1) Dw(t~) h mod p^j for every integer vector h.  The lifts of t are
+t~ + p^(j-1) h with h = (e, delta) in the coordinates that ``_lift``
+frees and solves: e = (u, v) mod p runs over F_p^2, and since
+P(t~ + p^(j-1) h) = P(t~) + p^(j-1) grad P(t~) . h mod p^j, the solved
+offset delta is the linear function of e that makes grad P(t~) . h = 0
+mod p.  So w sends the lift at e to the lift at b + A e, read off the free
+coordinates of w(t~) + p^(j-1) Dw(t~) h mod p.  ``affine_table`` tabulates
+that map on the codes u + p v from the images of e = (0, 0), (1, 0) and
+(0, 1), and ``certify``'s residual stage fits its chart maps with it too.
+``_fiber_perms`` runs each loop on those three lifts alone, as int triples
+mod p^j reduced after every letter, and an image that does not reduce to
+t raises ``RuntimeError``.  ``_word_perm``, a word letter by letter on
+every point of a sorted set, permutes X_1 and is the fit's reference.
 """
 
 from __future__ import annotations
@@ -463,6 +482,60 @@ def _word_perm(points: np.ndarray, word, M: int) -> np.ndarray:
     return _locate(points, _encode(*triple, M))
 
 
+def affine_table(b, e1, e2, p: int) -> np.ndarray:
+    """The affine map of F_p^2 through three images, as a table on the codes u + p v.
+
+    ``b``, ``e1`` and ``e2`` are the (u, v) images mod p of the frame
+    points (0, 0), (1, 0) and (0, 1): the map is e -> b + A e, the columns
+    of A being e1 - b and e2 - b.  Entry u + p v of the table is the code
+    of the image of (u, v).
+    """
+    s = np.arange(p, dtype=np.int64)
+    u2, v2 = (
+        (b[i] + (e2[i] - b[i]) * s[:, None] + (e1[i] - b[i]) * s) % p for i in (0, 1)
+    )
+    return (u2 + p * v2).ravel()  # row v, column u
+
+
+def _fiber_perms(t, fiber: np.ndarray, p: int, j: int):
+    """Each word's permutation of the sorted ``fiber``, the p^2 lifts of t to X_j.
+
+    ``t`` is a triple mod p^(j-1) and ``fiber`` its lifts' sorted codes
+    mod p^j (``_lift``): the two free coordinates are t's plus p^(j-1)
+    (u, v), and the returned function maps a word fixing t mod p^(j-1)
+    to its action on the indices of ``fiber``.  The word runs on the three
+    frame lifts, (u, v) = (0, 0), (1, 0) and (0, 1), as int triples mod
+    p^j; ``affine_table`` fits its action on the codes u + p v from their
+    images (the module docstring gives the argument), and ``index`` turns
+    codes into indices of ``fiber``.  An image that does not reduce to t
+    escaped the fiber and raises ``RuntimeError``, as ``_locate`` does.
+    """
+    M, q = p**j, p ** (j - 1)
+    coords = _decode(fiber, M)
+    free = [i for i in range(3) if i != unit_partial(t, p)]
+    grid = coords[free[0]] // q + p * (coords[free[1]] // q)
+    index = np.empty_like(grid)
+    index[grid] = np.arange(p * p, dtype=np.int64)
+    frame = [[int(c[index[g]]) for c in coords] for g in (0, 1, p)]
+
+    def offsets(triple):
+        if any((c - s) % q for c, s in zip(triple, t)):
+            raise RuntimeError("generator image escaped the point set")
+        return [triple[i] // q for i in free]
+
+    def perm(word) -> np.ndarray:
+        formulas = [generator_formula(g) for g in reversed(word)]  # rightmost acts first
+        images = []
+        for x, y, z in frame:
+            for formula in formulas:
+                x, y, z = formula(x, y, z)
+                x, y, z = x % M, y % M, z % M
+            images.append(offsets((x, y, z)))
+        return index[affine_table(*images, p)[grid]]
+
+    return perm
+
+
 def _h_moves() -> tuple[dict, dict]:
     """H's 24 elements, each named by its image of (1, 2, 3): how letters move past them.
 
@@ -615,36 +688,38 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool
     (``_schreier_loops``) come from the words whose tree that is: the
     letters on X_1, then the loops of level j - 1 on their fiber.  They are
     added LOOP_ROUND at a time, up to FIBER_LOOPS, until their tree reaches
-    all p^2 points over t.  If the loops run out first, nothing is proved
+    all p^2 points over t, each loop's permutation fitted from three of
+    them (``_fiber_perms``).  If the loops run out first, nothing is proved
     and this returns False.
     """
     if not len(base):
         return False
     # per level-1 point: each letter's permutation, the BFS tree and the
     # loop search's arrays (traced peaks 66 and 117 bytes a point for the 3
-    # and 9 letters); per fiber point: a level's FIBER_LOOPS permutations and
-    # their BFS, two levels of them from j = 3 (traced peaks up to 465 bytes
-    # a point with every loop drawn).  The loop words' letters have the rest
-    # of the budget, LETTER_BYTES each
+    # and 9 letters); per fiber point: a level's FIBER_LOOPS permutations,
+    # their BFS and the fit's index arrays, two levels of them from j = 3
+    # (traced peaks up to 340 bytes a point with every loop drawn, at
+    # p = 101 to 809).  The loop words' letters have the rest of the budget,
+    # LETTER_BYTES each
     per_fiber = 8 * p**2 * (FIBER_LOOPS + 16)
     need = max(8 * len(base) * (len(letters) + 10) + per_fiber, 2 * per_fiber if k > 2 else 0)
     check_budget(need, "fiber proof")
     max_letters = (_max_mem() - need) // LETTER_BYTES
-    points, M = base, p
+    points = base
     words = [(g,) for g in letters]
-    perms = [_word_perm(points, w, M) for w in words]
+    perms = [_word_perm(points, w, p) for w in words]
     tree = _bfs_tree(perms)  # None when the letters leave X_1 in several orbits
     for j in range(2, k + 1):
         if tree is None:
             return False
         fiber = _lift(points[:1], p, j - 1, j, d)
-        M *= p
+        perm = _fiber_perms([int(c) for c in _decode(points[0], p ** (j - 1))], fiber, p, j)
         held = sum(map(len, words))
         schreier = islice(_schreier_loops(words, perms, tree, max_letters - held), FIBER_LOOPS)
         loops, loop_perms, tree = [], [], None
         while tree is None and (batch := list(islice(schreier, LOOP_ROUND))):
             loops += batch
-            loop_perms += [_word_perm(fiber, loop, M) for loop in batch]
+            loop_perms += map(perm, batch)
             tree = _bfs_tree(loop_perms)
         points, words, perms = fiber, loops, loop_perms
     return tree is not None

@@ -153,22 +153,17 @@ def strict_move_search(pt: SurfacePoint, budget: int = 8):
 def _affine_tables(chart: PolydiskChart, words) -> list[np.ndarray]:
     """Each word on the index codes u + p v of chart residues mod p, as a table.
 
-    A word acts on chart residues as t -> A t + b (``residual_transitivity``):
-    b is the chart image of (0, 0) mod p, and the columns of A are the images
-    of (1, 0) and (0, 1) minus b.  The images are ``chart.apply_word_uv``'s,
+    A word acts on chart residues as t -> A t + b (``residual_transitivity``),
+    and ``census.affine_table`` fits it from the chart images mod p of
+    (0, 0), (1, 0) and (0, 1).  The images are ``chart.apply_word_uv``'s,
     with the three chart points computed once for all the words.
     """
     p = chart.prime
     fit = [chart.psi(*chart.uv(u, v)) for u, v in ((0, 0), (1, 0), (0, 1))]
-    codes = np.arange(p * p, dtype=np.int64)
-    u, v = codes % p, codes // p
     tables = []
     for word in words:
-        b, e1, e2 = (
-            [c.residue % p for c in chart.psi_inv(apply_word(word, pt))] for pt in fit
-        )
-        u2, v2 = ((b[i] + (e1[i] - b[i]) * u + (e2[i] - b[i]) * v) % p for i in (0, 1))
-        tables.append(u2 + p * v2)
+        images = ([c.residue % p for c in chart.psi_inv(apply_word(word, pt))] for pt in fit)
+        tables.append(census.affine_table(*images, p))
     return tables
 
 
@@ -186,9 +181,9 @@ def residual_transitivity(chart: PolydiskChart, words) -> dict:
     carries the orbit sizes; the verdict is a single orbit.
     """
     p = chart.prime
-    # tracemalloc peaks at p = 211, 1447 and 1453 with 2 to 4 words: 40 + 8
-    # bytes per residue and word while the tables are built; a word's BFS
-    # images add about 9 more while the orbits are expanded
+    # tracemalloc peaks at p = 211 and 1453 with 3 words: 53 to 55 bytes per
+    # residue, 8 per word for its table and the rest one table's build or
+    # the BFS images while the orbits are expanded
     census.check_budget((48 + 16 * len(words)) * p * p, "residual partition")
     maps = [table.__getitem__ for table in _affine_tables(chart, words)]
     sizes, _ = census.partition(np.arange(p * p, dtype=np.int64), maps)

@@ -599,6 +599,57 @@ def test_loop_normal_form_is_the_same_map(word, triple):
     assert len(census._H_WORDS) == 24
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([(p, k) for p in (3, 5, 7, 11, 13) for k in (2, 3, 4)]),
+    st.integers(0, 10**6),
+    st.sampled_from(("gamma", "aut")),
+)
+def test_fitted_fiber_tables_match_the_letter_by_letter_action(pk, D, gens):
+    # every loop's table, fitted from three frame lifts, against the loop
+    # applied letter by letter to every fiber point; then the verdict
+    # against the proof run on the letter-by-letter permutations
+    p, k = pk
+    base, d = enumerate_points(p, 1, D), D % p**k
+    fitted, checked = census._fiber_perms, []
+
+    def checking(t, fiber, p, j):
+        perm = fitted(t, fiber, p, j)
+
+        def both(word):
+            table = perm(word)
+            assert np.array_equal(table, census._word_perm(fiber, word, p**j)), (pk, D, word)
+            checked.append(word)
+            return table
+
+        return both
+
+    def reference(t, fiber, p, j):
+        return lambda word: census._word_perm(fiber, word, p**j)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census, "_fiber_perms", checking)
+        verdict = census._lifts_transitive(base, p, k, d, census._family(gens))
+        mp.setattr(census, "_fiber_perms", reference)
+        assert verdict == census._lifts_transitive(base, p, k, d, census._family(gens))
+    assert checked or not verdict
+
+
+def test_a_word_that_moves_the_base_point_escapes_the_fiber():
+    base = enumerate_points(7, 1, 0)
+    t = [int(c) for c in _decode(base[0], 7)]
+    fiber = census._lift(base[:1], 7, 1, 2, 0)
+    perm = census._fiber_perms(t, fiber, 7, 2)
+    assert np.array_equal(perm(()), np.arange(49))
+    moving = [g for g in ALL_LETTERS if [c % 7 for c in GENERATORS[g](*t)] != t]
+    assert moving
+    for g in moving:
+        with pytest.raises(RuntimeError, match="escaped"):
+            perm((g,))
+        with pytest.raises(RuntimeError, match="escaped"):
+            census._word_perm(fiber, (g,), 49)
+
+
 def test_loop_words_stay_within_the_budget(monkeypatch):
     # loop words grow 2.5-4x a level at small p: (3, 13, 5) ends holding
     # 2.9M letters.  Under 2 MB the proof stops at its share of letters,

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from markoff_padic import census, certify
-from markoff_padic.cli import main, parse_parameter
+from markoff_padic.cli import _COMMANDS, build_parser, main, parse_parameter
 from markoff_padic.padic import PadicInt
 
 
@@ -298,3 +298,29 @@ def test_unread_flags_echo_their_defaults(capsys):
     code, rep = _run(capsys, "flow-check", "--p", "7")
     assert code == 0
     assert rep["config"] == {"p": 7, "k": 3, "d": "0", "budget_words": 8, "workers": 1}
+
+
+def _parse_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[c, "--help"] for c in _COMMANDS]
+    + [
+        ["not-a-command", "--p", "7"],
+        ["orbits", "--p", "7", "extra"],
+        ["orbits", "orbits"],
+        ["catalog", "--p", "7", "--case", "nope"],
+        ["census"],
+    ],
+)
+def test_one_command_parser_reads_as_the_full_one(capsys, argv):
+    # main builds only the invoked command's subparser: its help and its
+    # errors, top-level usage included, are the full parser's to the byte
+    full = _parse_output(capsys, build_parser().parse_args, argv)
+    assert _parse_output(capsys, main, argv) == full
+    assert full[0] == (0 if argv[-1] == "--help" else 2) and (full[1] or full[2])
