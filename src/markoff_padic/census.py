@@ -59,23 +59,19 @@ O(|X_1| + p^2) arrays and its loop words, budgeted like the rest: when
 the words would pass the budget, the loops run out and ``orbits`` falls
 back to the lift, which refuses as its own budget says.
 
-A loop acts on the fiber over t as an affine map of F_p^2, so three
-points fit its permutation.  Let j >= 2, let t~ in X_j be the lift of t
-whose free offsets are 0, and let w fix t mod p^(j-1).  As w has integer
-coefficients and p^(2(j-1)) = 0 mod p^j, w(t~ + p^(j-1) h) = w(t~) +
-p^(j-1) Dw(t~) h mod p^j for every integer vector h.  The lifts of t are
-t~ + p^(j-1) h with h = (e, delta) in the coordinates that ``_lift``
-frees and solves: e = (u, v) mod p runs over F_p^2, and since
-P(t~ + p^(j-1) h) = P(t~) + p^(j-1) grad P(t~) . h mod p^j, the solved
-offset delta is the linear function of e that makes grad P(t~) . h = 0
-mod p.  So w sends the lift at e to the lift at b + A e, read off the free
-coordinates of w(t~) + p^(j-1) Dw(t~) h mod p.  ``affine_table`` tabulates
-that map on the codes u + p v from the images of e = (0, 0), (1, 0) and
-(0, 1), and ``certify``'s residual stage fits its chart maps with it too.
-``_fiber_perms`` runs each loop on those three lifts alone, as int triples
-mod p^j reduced after every letter, and an image that does not reduce to
-t raises ``RuntimeError``.  ``_word_perm``, a word letter by letter on
-every point of a sorted set, permutes X_1 and is the fit's reference.
+A loop acts on the fiber over t as an affine map of F_p^2, so three points fit
+its permutation.  The proof works near one point of X_D*(Z_p), t~ =
+``surface.lift_point`` of the least mod-p point, with t = t~ mod p^(j-1) at
+level j >= 2.  Let w fix t.  As w has integer coefficients and p^(2(j-1)) = 0
+mod p^j, w(t~ + p^(j-1) h) = w(t~) + p^(j-1) Dw(t~) h and P(t~ + p^(j-1) h) =
+P(t~) + p^(j-1) grad P(t~) . h mod p^j.  So X_j over t is t~ + p^(j-1) h, with
+h = (u, v) mod p in the coordinates ``unit_partial`` frees and the solved one
+linear in (u, v), making grad P(t~) . h = 0 mod p; and w sends (u, v) to
+b + A (u, v).  ``affine_table`` tabulates that map on the codes u + p v from
+the images of the frame (0, 0), (1, 0) and (0, 1) (``_fiber_frame``), for
+``_fiber_perms`` and ``certify``'s residual stage.  Code 0 is t~ mod p^j, the
+root of the level's BFS tree.  ``_word_perm``, a word letter by letter on a
+sorted set, permutes X_1 and is the fit's reference.
 """
 
 from __future__ import annotations
@@ -90,7 +86,9 @@ from typing import Callable
 import numpy as np
 
 from .padic import PadicInt, _check_odd_prime, residue_of, sqrt
-from .surface import ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, unit_partial
+from .surface import (
+    ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, lift_point, unit_partial
+)
 
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
 MAX_MODULUS = 1 << 21  # p^k must stay below this so codes < M^3 fit in int64
@@ -295,31 +293,30 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
         base = enumerate_points(p, 1, d % p, max_mem=max_mem)
         fiber = p ** (2 * (k - 1))
         check_budget(8 * len(base) * fiber * 4, "lifting", max_mem)
-        return _lift(base, p, 1, k, d)
+        return _lift(base, p, k, d)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     points.sort()
     return points
 
 
-def _lift(base_codes: np.ndarray, p: int, level: int, k: int, d: int) -> np.ndarray:
-    """Sorted codes mod p^k of the points over each point mod p^level in ``base_codes``.
+def _lift(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
+    """Sorted codes mod p^k of the points over each point mod p in ``base_codes``.
 
-    Each fiber has p^{2(k-level)} points: the two free coordinates run over
-    t + p^level s, and the solved one (``unit_partial``) takes k - level
-    chord-Newton steps from t, each gaining at least one digit.
+    Each fiber has p^{2(k-1)} points: the two free coordinates run over t + p s,
+    and the solved one (``unit_partial``) takes k - 1 chord-Newton steps, a digit or more each.
     """
     if not len(base_codes):  # no point to lift: build no fiber-sized work arrays
         return np.empty(0, dtype=np.int64)
     M = p**k
-    r = p ** (k - level)
-    steps = np.arange(r, dtype=np.int64) * p**level
+    r = p ** (k - 1)
+    steps = np.arange(r, dtype=np.int64) * p
     free1 = np.repeat(steps, r)
     free2 = np.tile(steps, r)
     fiber = r * r
     out = np.empty(len(base_codes) * fiber, dtype=np.int64)
     for j, code in enumerate(base_codes):
-        triple = [int(c) for c in _decode(np.int64(code), p**level)]
+        triple = [int(c) for c in _decode(np.int64(code), p)]
         solved = unit_partial(triple, p)
         w = pow(gradient(*triple)[solved] % p, -1, M)
         c = np.full_like(free1, triple.pop(solved))
@@ -327,7 +324,7 @@ def _lift(base_codes: np.ndarray, p: int, level: int, k: int, d: int) -> np.ndar
         b = (triple[1] + free2) % M
         ab = (a * b) % M
         rest = (a * a % M + b * b % M - d) % M
-        for _ in range(k - level):
+        for _ in range(k - 1):
             f_val = (c * c % M + rest - ab * c % M) % M
             c = (c - f_val * w) % M
         coords = [a, b]
@@ -432,16 +429,14 @@ def orbits(p, k, D, gens="gamma") -> OrbitPartition:
 
     At k >= 2 a single orbit is first proved (``_lifts_transitive``): a
     BFS of X_1 under the letters reaches every point, and at each level
-    j = 2..k the stabilizer G_t of one point t of X_{j-1} is transitive on
-    the p^2 points of X_j over t, which makes X_j one orbit.  Schreier
-    loops at t, words phi_{g(u)}^-1 g phi_u of a BFS tree that fix t,
-    generate a subgroup of G_t, so one orbit of theirs on those p^2 points
-    proves the level (the module docstring gives the argument).  Then the partition is
-    the whole set, |X_1| p^{2(k-1)} points, and its representative, the
-    least code, is enumerated only when it is read.  Otherwise (the action
-    splits mod p, the sampled loops leave a fiber split, or their words
-    outgrow the budget) the level-k set is enumerated and partitioned by
-    BFS, so the result is exact either way.
+    j = 2..k Schreier loops at one point t of X_{j-1}, which generate a
+    subgroup of its stabilizer, are transitive on the p^2 points of X_j
+    over t, which makes X_j one orbit (the module docstring gives the
+    argument).  Then the partition is the whole set, |X_1| p^{2(k-1)}
+    points, and its representative, the least code, is enumerated only
+    when it is read.  Otherwise (the action splits mod p, the sampled loops
+    leave a fiber split, or their words outgrow the budget) the level-k set
+    is enumerated and partitioned by BFS, so the result is exact either way.
 
     The BFS runs the three Vieta involutions, and for "aut" joins
     their orbits by H, the group of order 24 that the double sign changes
@@ -497,31 +492,37 @@ def affine_table(b, e1, e2, p: int) -> np.ndarray:
     return (u2 + p * v2).ravel()  # row v, column u
 
 
-def _fiber_perms(t, fiber: np.ndarray, p: int, j: int):
-    """Each word's permutation of the sorted ``fiber``, the p^2 lifts of t to X_j.
+def _fiber_frame(lift, p: int, j: int):
+    """The points of X_j at free offsets (0, 0), (1, 0), (0, 1) from t~ = ``lift``.
 
-    ``t`` is a triple mod p^(j-1) and ``fiber`` its lifts' sorted codes
-    mod p^j (``_lift``): the two free coordinates are t's plus p^(j-1)
-    (u, v), and the returned function maps a word fixing t mod p^(j-1)
-    to its action on the indices of ``fiber``.  The word runs on the three
-    frame lifts, (u, v) = (0, 0), (1, 0) and (0, 1), as int triples mod
-    p^j; ``affine_table`` fits its action on the codes u + p v from their
-    images (the module docstring gives the argument), and ``index`` turns
-    codes into indices of ``fiber``.  An image that does not reduce to t
-    escaped the fiber and raises ``RuntimeError``, as ``_locate`` does.
+    t~ (a surface point mod p^k, k >= j) plus p^(j-1) times no tangent or one
+    with a 1 in a free coordinate and -dP/d(free) / dP/d(solved) in the one
+    ``unit_partial`` solves, as int triples mod p^j.
     """
     M, q = p**j, p ** (j - 1)
-    coords = _decode(fiber, M)
-    free = [i for i in range(3) if i != unit_partial(t, p)]
-    grid = coords[free[0]] // q + p * (coords[free[1]] // q)
-    index = np.empty_like(grid)
-    index[grid] = np.arange(p * p, dtype=np.int64)
-    frame = [[int(c[index[g]]) for c in coords] for g in (0, 1, p)]
+    s = unit_partial(lift, p)
+    g = gradient(*lift)
+    inv = pow(g[s], -1, p)
+    tangents = [[(n == i) - (n == s) * g[i] * inv for n in range(3)] for i in range(3) if i != s]
+    return [[(c + q * e) % M for c, e in zip(lift, h)] for h in ([0, 0, 0], *tangents)]
+
+
+def _fiber_perms(lift, p: int, j: int):
+    """Each word's table on the codes u + p v of X_j over t~ = ``lift`` mod p^(j-1).
+
+    (u, v) are a point's free offsets from t~ mod p^j.  ``affine_table`` fits a
+    word fixing t~ mod p^(j-1) from its images of ``_fiber_frame`` mod p^j (the
+    module docstring gives the argument).  An image that does not reduce to
+    t~ mod p^(j-1) escaped the fiber and raises ``RuntimeError``, as ``_locate`` does.
+    """
+    M, q = p**j, p ** (j - 1)
+    frame = _fiber_frame(lift, p, j)
+    free = [i for i in range(3) if i != unit_partial(lift, p)]
 
     def offsets(triple):
-        if any((c - s) % q for c, s in zip(triple, t)):
+        if any((c - s) % q for c, s in zip(triple, lift)):
             raise RuntimeError("generator image escaped the point set")
-        return [triple[i] // q for i in free]
+        return [(triple[i] - lift[i]) % M // q for i in free]
 
     def perm(word) -> np.ndarray:
         formulas = [generator_formula(g) for g in reversed(word)]  # rightmost acts first
@@ -531,7 +532,7 @@ def _fiber_perms(t, fiber: np.ndarray, p: int, j: int):
                 x, y, z = formula(x, y, z)
                 x, y, z = x % M, y % M, z % M
             images.append(offsets((x, y, z)))
-        return index[affine_table(*images, p)[grid]]
+        return affine_table(*images, p)
 
     return perm
 
@@ -682,38 +683,35 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool
     """True when the letters are proved transitive on the level-1 set ``base`` and up to level k.
 
     Each set is settled by one ``_bfs_tree``: a missed point means several
-    orbits, and a tree that reaches every point gives the loops of the
-    next level.  Level by level (the module docstring gives the argument),
-    t is the least point of the last set (``base`` at j = 2), and its loops
+    orbits, and a tree that reaches every point gives the loops of the next
+    level.  At level j (the module docstring gives the argument) t is t~ mod
+    p^(j-1), t~ = ``lift_point`` of ``base``'s least point, and its loops
     (``_schreier_loops``) come from the words whose tree that is: the
     letters on X_1, then the loops of level j - 1 on their fiber.  They are
     added LOOP_ROUND at a time, up to FIBER_LOOPS, until their tree reaches
-    all p^2 points over t, each loop's permutation fitted from three of
-    them (``_fiber_perms``).  If the loops run out first, nothing is proved
-    and this returns False.
+    the p^2 points over t, each loop's table fitted by ``_fiber_perms``.  If
+    the loops run out first, nothing is proved and this returns False.
     """
     if not len(base):
         return False
     # per level-1 point: each letter's permutation, the BFS tree and the
     # loop search's arrays (traced peaks 66 and 117 bytes a point for the 3
-    # and 9 letters); per fiber point: a level's FIBER_LOOPS permutations,
-    # their BFS and the fit's index arrays, two levels of them from j = 3
-    # (traced peaks up to 340 bytes a point with every loop drawn, at
-    # p = 101 to 809).  The loop words' letters have the rest of the budget,
-    # LETTER_BYTES each
+    # and 9 letters); per fiber point: a level's FIBER_LOOPS permutations
+    # and their BFS, two levels of them from j = 3 (traced peaks up to 305
+    # bytes a point with every loop drawn, at p = 101 to 809).  The loop
+    # words' letters have the rest of the budget, LETTER_BYTES each
     per_fiber = 8 * p**2 * (FIBER_LOOPS + 16)
     need = max(8 * len(base) * (len(letters) + 10) + per_fiber, 2 * per_fiber if k > 2 else 0)
     check_budget(need, "fiber proof")
     max_letters = (_max_mem() - need) // LETTER_BYTES
-    points = base
     words = [(g,) for g in letters]
-    perms = [_word_perm(points, w, p) for w in words]
+    perms = [_word_perm(base, w, p) for w in words]
     tree = _bfs_tree(perms)  # None when the letters leave X_1 in several orbits
+    if tree is None:
+        return False
+    lift = [c.residue for c in lift_point(_decode(base[0], p), d, p, k).coords()]
     for j in range(2, k + 1):
-        if tree is None:
-            return False
-        fiber = _lift(points[:1], p, j - 1, j, d)
-        perm = _fiber_perms([int(c) for c in _decode(points[0], p ** (j - 1))], fiber, p, j)
+        perm = _fiber_perms(lift, p, j)
         held = sum(map(len, words))
         schreier = islice(_schreier_loops(words, perms, tree, max_letters - held), FIBER_LOOPS)
         loops, loop_perms, tree = [], [], None
@@ -721,8 +719,10 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool
             loops += batch
             loop_perms += map(perm, batch)
             tree = _bfs_tree(loop_perms)
-        points, words, perms = fiber, loops, loop_perms
-    return tree is not None
+        if tree is None:
+            return False
+        words, perms = loops, loop_perms
+    return True
 
 
 def partition(points: np.ndarray, maps, joins=()) -> tuple[list[int], list[int]]:

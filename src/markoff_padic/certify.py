@@ -181,10 +181,11 @@ def residual_transitivity(chart: PolydiskChart, words) -> dict:
     carries the orbit sizes; the verdict is a single orbit.
     """
     p = chart.prime
-    # tracemalloc peaks at p = 211 and 1453 with 3 words: 53 to 55 bytes per
-    # residue, 8 per word for its table and the rest one table's build or
-    # the BFS images while the orbits are expanded
-    census.check_budget((48 + 16 * len(words)) * p * p, "residual partition")
+    # per residue: 8 per word for its table, and per word its BFS images and
+    # their sorted copy while the orbits are expanded; tracemalloc peaks on
+    # both routes at p = 211 to 1453 are 37.9, 55.2 and 72.5 bytes per
+    # residue with 2, 3 and 4 words (and 132.2 with 7)
+    census.check_budget((8 + 18 * len(words)) * p * p, "residual partition")
     maps = [table.__getitem__ for table in _affine_tables(chart, words)]
     sizes, _ = census.partition(np.arange(p * p, dtype=np.int64), maps)
     return {

@@ -69,14 +69,13 @@ class PolydiskChart:
         """Conjugated action psi^{-1} . word . psi on chart coordinates."""
         return self.psi_inv(apply_word(word, self.psi(uv[0], uv[1])))
 
-    def point_map(self, word: AutWord, kind="identity", A=None, b=None) -> PointMap:
+    def point_map(self, word: AutWord, kind="identity", A=None) -> PointMap:
         """The conjugated word as a PointMap usable by the flow machinery."""
         return PointMap(
             self.prime,
             lambda w: self.apply_word_uv(word, w),
             kind,
             A=A,
-            b=b,
             max_precision=self.precision - 1,
         )
 

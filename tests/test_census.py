@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from markoff_padic import census
@@ -29,8 +29,10 @@ from markoff_padic.surface import (
     ALL_LETTERS,
     GENERATORS,
     VIETA_LETTERS,
+    gradient,
     is_point,
     lift_point,
+    unit_partial,
 )
 
 ODD_PRIMES_BELOW_60 = [p for p in range(3, 60, 2) if all(p % q for q in range(3, p, 2))]
@@ -529,6 +531,8 @@ def test_a_proof_enumerates_no_level_k_set(monkeypatch):
         return real(p, k, D, **kw)
 
     monkeypatch.setattr(census, "enumerate_points", level1_only)
+    lift, lifted = census._lift, []
+    monkeypatch.setattr(census, "_lift", lambda *a: lifted.append(a[2]) or lift(*a))
     tracemalloc.start()
     try:
         part = orbits(13, 4, 0, "aut")
@@ -536,12 +540,13 @@ def test_a_proof_enumerates_no_level_k_set(monkeypatch):
     finally:
         tracemalloc.stop()
     assert part.transitive and part.orbit_sizes == [part.total] == [208 * 13**6]
-    assert asked == [1] and peak < 4 << 20
+    assert asked == [1] and lifted == [] and peak < 4 << 20
     # the representative, the least level-k code, is enumerated on its first read
     part = orbits(7, 3, 0, "aut")
-    assert max(asked) == 1
-    assert part.representatives == [tuple(int(c) for c in _decode(real(7, 3, 0)[0], 7**3))]
-    assert 3 in asked
+    assert max(asked) == 1 and lifted == []
+    reps = part.representatives
+    assert 3 in asked and lifted == [3]
+    assert reps == [tuple(int(c) for c in _decode(real(7, 3, 0)[0], 7**3))]
     with pytest.raises(BudgetError, match="lifting"):
         orbits(13, 4, 0, "aut").representatives
 
@@ -551,8 +556,8 @@ def test_fiber_proof_budget_bounds_the_traced_peak(monkeypatch):
     # the proof is checked against, also when the top fiber splits under
     # every one of its FIBER_LOOPS loops, and a smaller budget refuses it
     level, bfs_tree = [], census._bfs_tree
-    lift = census._lift
-    monkeypatch.setattr(census, "_lift", lambda *a: level.append(a[3]) or lift(*a))
+    fiber_perms = census._fiber_perms
+    monkeypatch.setattr(census, "_fiber_perms", lambda *a: level.append(a[2]) or fiber_perms(*a))
     for p, k, gens in ((211, 2, "aut"), (211, 2, "gamma"), (101, 3, "aut"), (101, 3, "gamma")):
         base = enumerate_points(p, 1, 0)
         letters = census._family(gens)
@@ -599,6 +604,28 @@ def test_loop_normal_form_is_the_same_map(word, triple):
     assert len(census._H_WORDS) == 24
 
 
+def _tilde(base, p, k, d):
+    """t~, the lift of the least mod-p point to level k, as an int triple."""
+    return [c.residue for c in lift_point(_decode(base[0], p), d, p, k).coords()]
+
+
+def _digit_fiber(lift, p, j, d):
+    """The p^2 points of X_j over ``lift`` mod p^(j-1), enumerated, and their free digits.
+
+    The points are the lifts of the mod-p point to level j that agree with
+    ``lift`` mod p^(j-1); a point's digit code is u + p v for its free
+    offsets (u, v) from ``lift`` mod p^j.
+    """
+    M, q = p**j, p ** (j - 1)
+    code = np.int64(_encode(*(c % p for c in lift), p))
+    lifts = census._lift(np.array([code]), p, j, d % M)
+    coords = _decode(lifts, M)
+    over = np.all([(c - t) % q == 0 for c, t in zip(coords, lift)], axis=0)
+    fiber = lifts[over]
+    u, v = ((c[over] - lift[i]) % M // q for i, c in enumerate(coords) if i != unit_partial(lift, p))
+    return fiber, u + p * v
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.sampled_from([(p, k) for p in (3, 5, 7, 11, 13) for k in (2, 3, 4)]),
@@ -606,41 +633,72 @@ def test_loop_normal_form_is_the_same_map(word, triple):
     st.sampled_from(("gamma", "aut")),
 )
 def test_fitted_fiber_tables_match_the_letter_by_letter_action(pk, D, gens):
-    # every loop's table, fitted from three frame lifts, against the loop
-    # applied letter by letter to every fiber point; then the verdict
-    # against the proof run on the letter-by-letter permutations
+    # every loop's table, fitted from three frame points, against the loop
+    # applied letter by letter to an enumerated fiber indexed by its free
+    # digits; then the verdict against the proof run on those permutations
     p, k = pk
     base, d = enumerate_points(p, 1, D), D % p**k
-    fitted, checked = census._fiber_perms, []
+    fitted, checked, fibers = census._fiber_perms, [], {}
 
-    def checking(t, fiber, p, j):
-        perm = fitted(t, fiber, p, j)
+    def letter_by_letter(lift, p, j):
+        if j not in fibers:  # lifting to (13, 4) takes a second: once per draw
+            fibers[j] = _digit_fiber(lift, p, j, d)
+        fiber, digits = fibers[j]
+        at = np.argsort(digits)  # the fiber index of each digit code
+        assert np.array_equal(digits[at], np.arange(p * p))
+        return lambda word: digits[census._word_perm(fiber, word, p**j)[at]]
+
+    def checking(lift, p, j):
+        perm, reference = fitted(lift, p, j), letter_by_letter(lift, p, j)
 
         def both(word):
             table = perm(word)
-            assert np.array_equal(table, census._word_perm(fiber, word, p**j)), (pk, D, word)
+            assert np.array_equal(table, reference(word)), (pk, D, word)
             checked.append(word)
             return table
 
         return both
 
-    def reference(t, fiber, p, j):
-        return lambda word: census._word_perm(fiber, word, p**j)
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census, "_fiber_perms", checking)
         verdict = census._lifts_transitive(base, p, k, d, census._family(gens))
-        mp.setattr(census, "_fiber_perms", reference)
+        mp.setattr(census, "_fiber_perms", letter_by_letter)
         assert verdict == census._lifts_transitive(base, p, k, d, census._family(gens))
     assert checked or not verdict
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(p, k) for p in (3, 5, 7, 11, 13, 101) for k in (2, 3, 4, 5)]),
+    st.integers(0, 10**6),
+)
+def test_the_fiber_frame_is_the_lifts_of_t_at_unit_offsets(pk, D):
+    # at every level the frame lies on X_j over t~ mod p^(j-1) at free
+    # offsets (0, 0), (1, 0), (0, 1), and the empty word fixes every code
+    p, k = pk
+    base = enumerate_points(p, 1, D)
+    assume(len(base))
+    lift = _tilde(base, p, k, D)
+    free = [i for i in range(3) if i != unit_partial(lift, p)]
+    for j in range(2, k + 1):
+        M, q = p**j, p ** (j - 1)
+        frame = census._fiber_frame(lift, p, j)
+        for triple, offsets in zip(frame, ((0, 0), (1, 0), (0, 1))):
+            x, y, z = triple
+            assert (x * x + y * y + z * z - x * y * z - D) % M == 0
+            assert any(g % p for g in gradient(x, y, z))
+            assert all((c - t) % q == 0 for c, t in zip(triple, lift))
+            assert tuple((triple[i] - lift[i]) % M // q for i in free) == offsets
+        assert np.array_equal(census._fiber_perms(lift, p, j)(()), np.arange(p * p))
 
 
 def test_a_word_that_moves_the_base_point_escapes_the_fiber():
     base = enumerate_points(7, 1, 0)
     t = [int(c) for c in _decode(base[0], 7)]
-    fiber = census._lift(base[:1], 7, 1, 2, 0)
-    perm = census._fiber_perms(t, fiber, 7, 2)
+    lift = _tilde(base, 7, 2, 0)
+    perm = census._fiber_perms(lift, 7, 2)
     assert np.array_equal(perm(()), np.arange(49))
+    fiber = census._lift(base[:1], 7, 2, 0)
     moving = [g for g in ALL_LETTERS if [c % 7 for c in GENERATORS[g](*t)] != t]
     assert moving
     for g in moving:

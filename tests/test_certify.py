@@ -1,6 +1,7 @@
 """Certification pipeline: special points, strict moves, certificates, XD."""
 
 import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from markoff_padic import census
 from markoff_padic.certify import (
+    _stabilizers,
+    base_point_chart,
     certificate_json,
     certification_route,
     certify_minimal_polydisk,
@@ -127,6 +131,28 @@ def test_residual_transitivity_rejects_non_stabilizers():
     ch = _recentred_chart_p7()
     with pytest.raises(ValueError, match="leaves polydisk"):
         residual_transitivity(ch, [AutWord(("sx",))])
+
+
+@pytest.mark.parametrize("D, route", [(0, "arbitrary-point"), (5, "special-point")])
+def test_residual_budget_bounds_the_traced_peak(D, route, monkeypatch):
+    # the stage's byte estimate against its tracemalloc peak at p = 211 with
+    # 2, 3 and 4 words: the stabilizers, the strict move and their product
+    p = 211
+    assert certification_route(p, 3, D) == route
+    _, _, chart = base_point_chart(p, 3, D, route)
+    gamma, _ = strict_move_search(chart.base, 8)
+    gens, _ = _stabilizers(chart, route, False)
+    words = [*gens, gamma, gamma * gens[0]]
+    needs, check = [], census.check_budget
+    monkeypatch.setattr(census, "check_budget", lambda n, *a: needs.append(n) or check(n, *a))
+    for n in (2, 3, 4):
+        tracemalloc.start()
+        try:
+            residual_transitivity(chart, words[:n])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= needs[-1], (D, n, peak, needs[-1])
 
 
 def _reference_orbit_sizes(chart, words):
