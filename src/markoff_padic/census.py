@@ -8,13 +8,25 @@ quadratic in z: for fixed (x, y) the surface mod p is
 z^2 - xy*z + (x^2 + y^2 - D) = 0, so one table of square roots mod p gives
 every point in O(p^2) work (``_solve_level1``), written block by block
 into one reservation of p(p + 5) codes, a bound on the points mod p.
-Higher levels lift each nonsingular mod-p point through its smooth fiber
-of exactly p^{2(k-1)} points instead of scanning p^{3k} triples.
-``_lift`` keeps a numpy chord-Newton over ``surface.solve_fiber``'s
-quadratic, for the coordinate that ``surface.unit_partial`` picks.  A count
-needs no lift at all: ``count_points`` multiplies the mod-p points by the
-fiber size.  ``enumerate_points``' mode "brute", the O(p^{3k}) scan of
-every triple (``_brute_shard``), stays as the reference at every level.
+Higher levels lift each mod-p point through its smooth fiber (below)
+instead of scanning p^{3k} triples.  ``enumerate_points``' mode "brute",
+the O(p^{3k}) scan of every triple (``_brute_shard``), stays as the
+reference at every level.
+
+The smooth fiber.  Over a point t of X_{j-1} (j >= 2) nonsingular mod p,
+the points of X_j are t + p^(j-1) h with h mod p solving one linear
+equation, grad P(t) . h = (D - P(t)) / p^(j-1) mod p, as P(t + p^(j-1) h)
+= P(t) + p^(j-1) grad P(t) . h mod p^j: so p^2 points, one for each pair
+of free offsets (u, v) in the coordinates ``surface.unit_partial`` frees
+(``_fiber_step``).  A mod-p point thus has p^{2(k-1)} lifts mod p^k:
+``count_points`` multiplies by that, ``_lift`` steps level by level at
+all p^2 offsets and the fiber proof at three.  A word w fixing t mod
+p^(j-1) has integer coefficients, so w(t + p^(j-1) h) = w(t) + p^(j-1)
+Dw(t) h mod p^j sends (u, v) to b + A (u, v) mod p; ``affine_table``
+tabulates that map on the codes u + p v from the images of the frame
+(0, 0), (1, 0), (0, 1), for ``_fiber_perms`` and ``certify``'s residual
+stage.  ``_word_perm``, a word letter by letter on a sorted set, permutes
+X_1 and is the fit's reference.
 
 Sets are built and deduplicated by sorting, never by numpy's ``unique``,
 which on numpy 2.x hashes int64 input and runs tens of times slower.
@@ -27,7 +39,7 @@ Generator images evaluate ``surface.GENERATORS``, the one definition of the
 action, on residues mod M (numpy arrays in the orbit BFS, int triples in
 ``residue_bfs``) and reduce only the coordinates a letter rewrites: the
 others are inputs, already reduced, and reducing all three measured 5-17%
-slower in the orbit BFS.  The fiber fit (below) runs the formulas on three
+slower in the orbit BFS.  The fiber fit (above) runs the formulas on three
 int triples and reduces all three coordinates, the cheaper way on ints.
 
 The orbit BFS runs the three Vieta involutions only.  The other six
@@ -48,7 +60,9 @@ for a BFS tree from t with path words phi_u, each edge u -> g(u) gives the
 loop phi_{g(u)}^-1 g phi_u, and as every letter is an involution, a
 word's inverse is its reversal.  The loops at level 1 come from the
 letters' BFS over X_1; those at level j from the BFS of the fiber at
-level j - 1 under the loops that were transitive on it.  A sample of
+level j - 1 under the loops that were transitive on it.  At level j, t is
+the least mod-p point for j = 2 and then the last tree's root, its frame
+point (0, 0): t~ mod p^(j-1) for a p-adic point t~ over it.  A sample of
 loops generates a subgroup of G_t, so one orbit under it on the fiber is
 a proof, and several orbits prove nothing: ``orbits`` then enumerates and
 runs the BFS.  Either way the partition is exact; the sample only picks
@@ -58,20 +72,6 @@ h s_a = s_b h; the words still grow about 2.5-4x a level at small p.  The proof 
 O(|X_1| + p^2) arrays and its loop words, budgeted like the rest: when
 the words would pass the budget, the loops run out and ``orbits`` falls
 back to the lift, which refuses as its own budget says.
-
-A loop acts on the fiber over t as an affine map of F_p^2, so three points fit
-its permutation.  The proof works near one point of X_D*(Z_p), t~ =
-``surface.lift_point`` of the least mod-p point, with t = t~ mod p^(j-1) at
-level j >= 2.  Let w fix t.  As w has integer coefficients and p^(2(j-1)) = 0
-mod p^j, w(t~ + p^(j-1) h) = w(t~) + p^(j-1) Dw(t~) h and P(t~ + p^(j-1) h) =
-P(t~) + p^(j-1) grad P(t~) . h mod p^j.  So X_j over t is t~ + p^(j-1) h, with
-h = (u, v) mod p in the coordinates ``unit_partial`` frees and the solved one
-linear in (u, v), making grad P(t~) . h = 0 mod p; and w sends (u, v) to
-b + A (u, v).  ``affine_table`` tabulates that map on the codes u + p v from
-the images of the frame (0, 0), (1, 0) and (0, 1) (``_fiber_frame``), for
-``_fiber_perms`` and ``certify``'s residual stage.  Code 0 is t~ mod p^j, the
-root of the level's BFS tree.  ``_word_perm``, a word letter by letter on a
-sorted set, permutes X_1 and is the fit's reference.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ import numpy as np
 
 from .padic import PadicInt, _check_odd_prime, residue_of, sqrt
 from .surface import (
-    ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, lift_point, unit_partial
+    ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, unit_partial
 )
 
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
@@ -300,36 +300,41 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
     return points
 
 
+def _fiber_step(t, u, v, p: int, j: int, d: int):
+    """The points of X_j at free offsets (u, v) over t, a point of X_{j-1}, as residues mod p^j.
+
+    t is an int triple, or a triple of numpy arrays of points over one
+    mod-p point, of residues below p^(j-1); (u, v) broadcast against it.
+    The solved coordinate s gains p^(j-1) times the digit (D - P) / p^(j-1)
+    / dP/ds mod p, P taken once, before the correction.  Every factor of a
+    product is below p^j, so products stay below p^(2j) < 2^42.
+    """
+    M, q = p**j, p ** (j - 1)
+    base = [int(np.ravel(c)[0]) % p for c in t]  # the mod-p point under all of t
+    s = unit_partial(base, p)
+    a, b = (t[i] + q * e for i, e in zip((i for i in range(3) if i != s), (u, v)))
+    c = t[s]
+    digit = (d - a * a - b * b - c * (c - a * b % M)) % M // q
+    coords = [a, b]
+    coords.insert(s, c + q * (digit * pow(gradient(*base)[s], -1, p) % p))
+    return coords
+
+
 def _lift(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
     """Sorted codes mod p^k of the points over each point mod p in ``base_codes``.
 
-    Each fiber has p^{2(k-1)} points: the two free coordinates run over t + p s,
-    and the solved one (``unit_partial``) takes k - 1 chord-Newton steps, a digit or more each.
+    Each fiber has p^{2(k-1)} points: ``_fiber_step`` takes the points of
+    X_{j-1} over the mod-p point to all p^2 free offsets in X_j, for j = 2..k.
     """
-    if not len(base_codes):  # no point to lift: build no fiber-sized work arrays
-        return np.empty(0, dtype=np.int64)
     M = p**k
-    r = p ** (k - 1)
-    steps = np.arange(r, dtype=np.int64) * p
-    free1 = np.repeat(steps, r)
-    free2 = np.tile(steps, r)
-    fiber = r * r
+    u, v = (c.ravel() for c in np.indices((p, p), dtype=np.int64))
+    fiber = p ** (2 * (k - 1))
     out = np.empty(len(base_codes) * fiber, dtype=np.int64)
-    for j, code in enumerate(base_codes):
-        triple = [int(c) for c in _decode(np.int64(code), p)]
-        solved = unit_partial(triple, p)
-        w = pow(gradient(*triple)[solved] % p, -1, M)
-        c = np.full_like(free1, triple.pop(solved))
-        a = (triple[0] + free1) % M
-        b = (triple[1] + free2) % M
-        ab = (a * b) % M
-        rest = (a * a % M + b * b % M - d) % M
-        for _ in range(k - 1):
-            f_val = (c * c % M + rest - ab * c % M) % M
-            c = (c - f_val * w) % M
-        coords = [a, b]
-        coords.insert(solved, c)
-        out[j * fiber : (j + 1) * fiber] = _encode(*coords, M)
+    for i, code in enumerate(base_codes):
+        t = _decode(np.full((1, 1), code), p)
+        for j in range(2, k + 1):
+            t = [c.reshape(-1, 1) for c in _fiber_step(t, u, v, p, j, d)]
+        out[i * fiber : (i + 1) * fiber] = _encode(*t, M).ravel()
     out.sort()
     return out
 
@@ -492,37 +497,23 @@ def affine_table(b, e1, e2, p: int) -> np.ndarray:
     return (u2 + p * v2).ravel()  # row v, column u
 
 
-def _fiber_frame(lift, p: int, j: int):
-    """The points of X_j at free offsets (0, 0), (1, 0), (0, 1) from t~ = ``lift``.
+def _fiber_perms(t, p: int, j: int, d: int):
+    """Each word's table on the codes u + p v of X_j over t, a point of X_{j-1} (an int triple).
 
-    t~ (a surface point mod p^k, k >= j) plus p^(j-1) times no tangent or one
-    with a 1 in a free coordinate and -dP/d(free) / dP/d(solved) in the one
-    ``unit_partial`` solves, as int triples mod p^j.
-    """
-    M, q = p**j, p ** (j - 1)
-    s = unit_partial(lift, p)
-    g = gradient(*lift)
-    inv = pow(g[s], -1, p)
-    tangents = [[(n == i) - (n == s) * g[i] * inv for n in range(3)] for i in range(3) if i != s]
-    return [[(c + q * e) % M for c, e in zip(lift, h)] for h in ([0, 0, 0], *tangents)]
-
-
-def _fiber_perms(lift, p: int, j: int):
-    """Each word's table on the codes u + p v of X_j over t~ = ``lift`` mod p^(j-1).
-
-    (u, v) are a point's free offsets from t~ mod p^j.  ``affine_table`` fits a
-    word fixing t~ mod p^(j-1) from its images of ``_fiber_frame`` mod p^j (the
+    (u, v) are a point's free offsets from t mod p^(j-1) (``_fiber_step``).
+    ``affine_table`` fits a word fixing t mod p^(j-1) from its images of the
+    frame, the points at offsets (0, 0), (1, 0) and (0, 1), mod p^j (the
     module docstring gives the argument).  An image that does not reduce to
-    t~ mod p^(j-1) escaped the fiber and raises ``RuntimeError``, as ``_locate`` does.
+    t mod p^(j-1) escaped the fiber and raises ``RuntimeError``, as ``_locate`` does.
     """
     M, q = p**j, p ** (j - 1)
-    frame = _fiber_frame(lift, p, j)
-    free = [i for i in range(3) if i != unit_partial(lift, p)]
+    frame = [_fiber_step(t, u, v, p, j, d) for u, v in ((0, 0), (1, 0), (0, 1))]
+    free = [i for i in range(3) if i != unit_partial(t, p)]
 
     def offsets(triple):
-        if any((c - s) % q for c, s in zip(triple, lift)):
+        if any((c - s) % q for c, s in zip(triple, t)):
             raise RuntimeError("generator image escaped the point set")
-        return [(triple[i] - lift[i]) % M // q for i in free]
+        return [triple[i] // q for i in free]
 
     def perm(word) -> np.ndarray:
         formulas = [generator_formula(g) for g in reversed(word)]  # rightmost acts first
@@ -684,8 +675,9 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool
 
     Each set is settled by one ``_bfs_tree``: a missed point means several
     orbits, and a tree that reaches every point gives the loops of the next
-    level.  At level j (the module docstring gives the argument) t is t~ mod
-    p^(j-1), t~ = ``lift_point`` of ``base``'s least point, and its loops
+    level.  At level j (the module docstring gives the argument) t is
+    ``base``'s least point for j = 2 and then the root of the last tree,
+    ``_fiber_step``'s point at offsets (0, 0), and its loops
     (``_schreier_loops``) come from the words whose tree that is: the
     letters on X_1, then the loops of level j - 1 on their fiber.  They are
     added LOOP_ROUND at a time, up to FIBER_LOOPS, until their tree reaches
@@ -709,9 +701,9 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool
     tree = _bfs_tree(perms)  # None when the letters leave X_1 in several orbits
     if tree is None:
         return False
-    lift = [c.residue for c in lift_point(_decode(base[0], p), d, p, k).coords()]
+    t = [int(c) for c in _decode(base[0], p)]
     for j in range(2, k + 1):
-        perm = _fiber_perms(lift, p, j)
+        perm = _fiber_perms(t, p, j, d)
         held = sum(map(len, words))
         schreier = islice(_schreier_loops(words, perms, tree, max_letters - held), FIBER_LOOPS)
         loops, loop_perms, tree = [], [], None
@@ -722,6 +714,7 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool
         if tree is None:
             return False
         words, perms = loops, loop_perms
+        t = _fiber_step(t, 0, 0, p, j, d)  # code 0, the root of the next level's tree
     return True
 
 
@@ -810,12 +803,14 @@ def finite_orbit_catalog(p: int, K: int, case: str) -> dict:
 
     Orbit sizes are computed both under the Vieta subgroup and under the
     full generator set; a reduction can only merge points, so undersized
-    results are reported as collapses rather than failures.
+    results are reported as collapses rather than failures.  A p that is
+    not an odd prime raises ValueError for every case, the D4 cage too.
     """
     if case not in _CATALOG_CASES:
         raise ValueError(f"unknown catalog case {case!r}")
     if K < 3:
         raise ValueError("precision >= 3 required")
+    _check_odd_prime(p)
     report = {"case": case, "p": p, "K": K, "available": True, "orbits": []}
     if case == "D4-cage":
         report["available"] = False

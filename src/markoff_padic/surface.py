@@ -14,7 +14,8 @@ here and on residues mod p^k in ``census``, which reduces only the
 coordinates a letter rewrites.  ``gradient`` (the partials of P),
 ``unit_partial`` (the first coordinate whose partial is a unit mod p) and
 ``solve_fiber`` (that coordinate by Newton over the other two) are likewise
-the one definition of the smooth fiber.
+the one definition of the smooth fiber; on residues, ``census._fiber_step``
+lifts it one digit at a time with the same partial.
 
 An ``AutWord`` is stored as runs: maximal alternating blocks of two Vieta
 letters, such as the stabilizer (s_a s_b)^m of ``rotation``, and single

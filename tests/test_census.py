@@ -145,10 +145,25 @@ def test_enumerated_points_are_points():
 
 
 def test_lift_equals_brute():
-    for (p, k, D) in ((5, 2, 0), (7, 2, 0), (11, 2, 0), (5, 3, 1), (13, 2, 0)):
+    # the fiber step runs once per point at k = 2, and two or three times
+    # in turn at (5, 3, 1), (5, 3, 3) and (3, 4, 5)
+    for (p, k, D) in ((5, 2, 0), (7, 2, 0), (11, 2, 0), (5, 3, 1), (13, 2, 0), (3, 4, 5), (5, 3, 3)):
         a = enumerate_points(p, k, D, mode="brute")
         b = enumerate_points(p, k, D)
         assert np.array_equal(a, b), (p, k, D)
+
+
+def test_lift_budget_bounds_the_traced_peak():
+    # the lifted codes and one fiber's work arrays stay within the 32 bytes
+    # a lifted point that enumerate_points checks the lift against
+    for p, k, D in ((11, 3, 4), (29, 2, 4), (3, 6, 5), (5, 4, 3)):
+        tracemalloc.start()
+        try:
+            points = enumerate_points(p, k, D)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * len(points), (p, k, D, peak, len(points))
 
 
 def test_smooth_fiber_count():
@@ -604,26 +619,21 @@ def test_loop_normal_form_is_the_same_map(word, triple):
     assert len(census._H_WORDS) == 24
 
 
-def _tilde(base, p, k, d):
-    """t~, the lift of the least mod-p point to level k, as an int triple."""
-    return [c.residue for c in lift_point(_decode(base[0], p), d, p, k).coords()]
+def _digit_fiber(t, p, j, d):
+    """The p^2 points of X_j over t, a point of X_{j-1}, scanned, and their free digits.
 
-
-def _digit_fiber(lift, p, j, d):
-    """The p^2 points of X_j over ``lift`` mod p^(j-1), enumerated, and their free digits.
-
-    The points are the lifts of the mod-p point to level j that agree with
-    ``lift`` mod p^(j-1); a point's digit code is u + p v for its free
-    offsets (u, v) from ``lift`` mod p^j.
+    The points are t + p^(j-1) h for the p^3 digit triples h that satisfy
+    P = d mod p^j; a point's digit code is u + p v for its digits in the
+    coordinates ``unit_partial`` frees.
     """
     M, q = p**j, p ** (j - 1)
-    code = np.int64(_encode(*(c % p for c in lift), p))
-    lifts = census._lift(np.array([code]), p, j, d % M)
-    coords = _decode(lifts, M)
-    over = np.all([(c - t) % q == 0 for c, t in zip(coords, lift)], axis=0)
-    fiber = lifts[over]
-    u, v = ((c[over] - lift[i]) % M // q for i, c in enumerate(coords) if i != unit_partial(lift, p))
-    return fiber, u + p * v
+    h = np.indices((p, p, p)).reshape(3, -1)
+    x, y, z = (c % q + q * e for c, e in zip(t, h))
+    on = (x * x + y * y + z * z - x * y % M * z - d) % M == 0
+    free = [i for i in range(3) if i != unit_partial(t, p)]
+    codes, digits = _encode(x[on], y[on], z[on], M), h[free[0], on] + p * h[free[1], on]
+    order = np.argsort(codes)
+    return codes[order], digits[order]
 
 
 @settings(max_examples=30, deadline=None)
@@ -634,22 +644,20 @@ def _digit_fiber(lift, p, j, d):
 )
 def test_fitted_fiber_tables_match_the_letter_by_letter_action(pk, D, gens):
     # every loop's table, fitted from three frame points, against the loop
-    # applied letter by letter to an enumerated fiber indexed by its free
+    # applied letter by letter to a scanned fiber indexed by its free
     # digits; then the verdict against the proof run on those permutations
     p, k = pk
     base, d = enumerate_points(p, 1, D), D % p**k
-    fitted, checked, fibers = census._fiber_perms, [], {}
+    fitted, checked = census._fiber_perms, []
 
-    def letter_by_letter(lift, p, j):
-        if j not in fibers:  # lifting to (13, 4) takes a second: once per draw
-            fibers[j] = _digit_fiber(lift, p, j, d)
-        fiber, digits = fibers[j]
+    def letter_by_letter(t, p, j, d):
+        fiber, digits = _digit_fiber(t, p, j, d)
         at = np.argsort(digits)  # the fiber index of each digit code
         assert np.array_equal(digits[at], np.arange(p * p))
         return lambda word: digits[census._word_perm(fiber, word, p**j)[at]]
 
-    def checking(lift, p, j):
-        perm, reference = fitted(lift, p, j), letter_by_letter(lift, p, j)
+    def checking(t, p, j, d):
+        perm, reference = fitted(t, p, j, d), letter_by_letter(t, p, j, d)
 
         def both(word):
             table = perm(word)
@@ -673,30 +681,34 @@ def test_fitted_fiber_tables_match_the_letter_by_letter_action(pk, D, gens):
     st.integers(0, 10**6),
 )
 def test_the_fiber_frame_is_the_lifts_of_t_at_unit_offsets(pk, D):
-    # at every level the frame lies on X_j over t~ mod p^(j-1) at free
-    # offsets (0, 0), (1, 0), (0, 1), and the empty word fixes every code
+    # at every level the step's frame lies on X_j over t at free offsets
+    # (0, 0), (1, 0), (0, 1), and the empty word fixes every code; carried
+    # from the least mod-p point, the (0, 0) point at level k is
+    # lift_point's t~, which Newton reaches by another route
     p, k = pk
     base = enumerate_points(p, 1, D)
     assume(len(base))
-    lift = _tilde(base, p, k, D)
-    free = [i for i in range(3) if i != unit_partial(lift, p)]
+    t = [int(c) for c in _decode(base[0], p)]
+    free = [i for i in range(3) if i != unit_partial(t, p)]
     for j in range(2, k + 1):
         M, q = p**j, p ** (j - 1)
-        frame = census._fiber_frame(lift, p, j)
+        frame = [census._fiber_step(t, u, v, p, j, D % p**k) for u, v in ((0, 0), (1, 0), (0, 1))]
         for triple, offsets in zip(frame, ((0, 0), (1, 0), (0, 1))):
             x, y, z = triple
             assert (x * x + y * y + z * z - x * y * z - D) % M == 0
             assert any(g % p for g in gradient(x, y, z))
-            assert all((c - t) % q == 0 for c, t in zip(triple, lift))
-            assert tuple((triple[i] - lift[i]) % M // q for i in free) == offsets
-        assert np.array_equal(census._fiber_perms(lift, p, j)(()), np.arange(p * p))
+            assert all(0 <= c < M and (c - s) % q == 0 for c, s in zip(triple, t))
+            assert tuple((triple[i] - t[i]) % M // q for i in free) == offsets
+        assert np.array_equal(census._fiber_perms(t, p, j, D % p**k)(()), np.arange(p * p))
+        t = frame[0]
+    tilde = lift_point(_decode(base[0], p), D, p, k)
+    assert t == [c.residue for c in tilde.coords()]
 
 
 def test_a_word_that_moves_the_base_point_escapes_the_fiber():
     base = enumerate_points(7, 1, 0)
     t = [int(c) for c in _decode(base[0], 7)]
-    lift = _tilde(base, 7, 2, 0)
-    perm = census._fiber_perms(lift, 7, 2)
+    perm = census._fiber_perms(t, 7, 2, 0)
     assert np.array_equal(perm(()), np.arange(49))
     fiber = census._lift(base[:1], 7, 2, 0)
     moving = [g for g in ALL_LETTERS if [c % 7 for c in GENERATORS[g](*t)] != t]
@@ -801,6 +813,15 @@ def test_catalog_sqrtD_both_groups():
 def test_catalog_cage_is_informational():
     rep = finite_orbit_catalog(7, 4, "D4-cage")
     assert not rep["available"] and "note" in rep
+
+
+@pytest.mark.parametrize("case", census._CATALOG_CASES)
+def test_catalog_needs_an_odd_prime_in_every_case(case):
+    # checked before any case is handled: the cage, which enumerates
+    # nothing, refuses p = 9 and p = 4 as the computed cases do
+    for p in (9, 4):
+        with pytest.raises(ValueError, match="^prime must be an odd prime"):
+            finite_orbit_catalog(p, 3, case)
 
 
 def test_catalog_sizes_monotone_in_precision():
