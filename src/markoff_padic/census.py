@@ -62,16 +62,17 @@ word's inverse is its reversal.  The loops at level 1 come from the
 letters' BFS over X_1; those at level j from the BFS of the fiber at
 level j - 1 under the loops that were transitive on it.  At level j, t is
 the least mod-p point for j = 2 and then the last tree's root, its frame
-point (0, 0): t~ mod p^(j-1) for a p-adic point t~ over it.  A sample of
-loops generates a subgroup of G_t, so one orbit under it on the fiber is
-a proof, and several orbits prove nothing: ``orbits`` then enumerates and
-runs the BFS.  Either way the partition is exact; the sample only picks
-the path.  A loop is kept as a reduced Vieta word followed by one element
-of H (``_normal_form``), since each h in H moves past a Vieta letter as
-h s_a = s_b h; the words still grow about 2.5-4x a level at small p.  The proof holds
-O(|X_1| + p^2) arrays and its loop words, budgeted like the rest: when
-the words would pass the budget, the loops run out and ``orbits`` falls
-back to the lift, which refuses as its own budget says.
+point (0, 0): t~ mod p^(j-1) for a p-adic point t~ over it.  Each level
+draws one set of LOOPS loops, which generate a subgroup of G_t, so one
+orbit under them on the fiber is a proof, and several orbits prove
+nothing: ``orbits`` then enumerates and runs the BFS.  Either way the
+partition is exact; the draw only picks the path.  A loop is kept as a
+reduced Vieta word followed by one element of H (``_normal_form``), since
+each h in H moves past a Vieta letter as h s_a = s_b h; the words still
+grow about 2.5-5x a level at small p.  The proof holds O(|X_1| + p^2)
+arrays and its loop words, budgeted like the rest: when the words would
+pass the budget, the loops run out and ``orbits`` falls back to the lift,
+which refuses as its own budget says.
 """
 
 from __future__ import annotations
@@ -93,8 +94,7 @@ from .surface import (
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
 MAX_MODULUS = 1 << 21  # p^k must stay below this so codes < M^3 fit in int64
 SOLVE_BLOCK = 1 << 14  # (x, y) cells per block of the level-1 solve
-FIBER_LOOPS = 32  # Schreier loops tried per level before the BFS takes over
-LOOP_ROUND = 8  # loops added between two searches of a fiber
+LOOPS = 8  # Schreier loops drawn per level of the fiber proof
 LETTER_BYTES = 36  # per loop letter: 8 in its word, the rest for the lists it is built from
 
 
@@ -439,7 +439,7 @@ def orbits(p, k, D, gens="gamma") -> OrbitPartition:
     over t, which makes X_j one orbit (the module docstring gives the
     argument).  Then the partition is the whole set, |X_1| p^{2(k-1)}
     points, and its representative, the least code, is enumerated only
-    when it is read.  Otherwise (the action splits mod p, the sampled loops
+    when it is read.  Otherwise (the action splits mod p, the drawn loops
     leave a fiber split, or their words outgrow the budget) the level-k set
     is enumerated and partitioned by BFS, so the result is exact either way.
 
@@ -620,16 +620,19 @@ def _schreier_loops(words, perms, tree, max_letters: int):
     fixes 0 (Schreier's lemma: these generate its stabilizer in the group
     the words generate, as that group is transitive on the set).  Words
     are letter tuples, rightmost letter first, so a word's inverse is its
-    reversal.  Each loop is put in ``_normal_form``, and neither it nor its
-    inverse is repeated.  The loops stop before one whose unreduced word
-    would take the letters yielded past ``max_letters``.
+    reversal.  Each loop is put in ``_normal_form`` and yielded when that
+    form is new.  The loops stop before one whose unreduced word would take
+    the letters yielded past ``max_letters``.
 
-    The edges are taken deepest first, each followed by one of an even
-    spread over all of them.  Loops near 0 generate little: at p = 11,
-    D = 0 the first 32 in BFS order leave the 121 lifts of 0 mod p^2 in 66
-    Aut orbits.  Deep loops whose paths share a long stem are conjugates,
-    by that stem, of short loops where the paths part: at p = 23, D = 51
-    the 64 deepest all fix one of the 529 lifts.
+    The edges are taken deepest first, each followed by one of a spread
+    every count // 32 edges from the deep end.  In a sweep of 4,728
+    classes at p <= 53 a draw of LOOPS loops read 9 to 57 candidates, and
+    at most 23 in 94% of draws: the deepest 5 to 12 edges and the spread
+    through about the deepest third.  Deep loops whose paths share a long
+    stem are conjugates, by that stem, of short loops where the paths
+    part, and loops near 0 generate little: in that sweep the deepest
+    edges alone lose 10 proofs, and a spread over the nodes instead of
+    the edges loses 2.
     """
     parent, step, layers = tree
     size = np.array([len(w) for w in words], dtype=np.int64)
@@ -657,14 +660,14 @@ def _schreier_loops(words, perms, tree, max_letters: int):
         return letters
 
     count = int(ends[-1])
-    spread = range(0, count, max(1, count // FIBER_LOOPS))
+    spread = range(0, count, max(1, count // 32))
     seen = set()
     for u, i in map(edge, chain(chain.from_iterable(zip(range(count), spread)), range(count))):
         v = int(perms[i][u])
         if reach[v] + size[i] + reach[u] > max_letters:
             return
         loop = _normal_form(chain(reversed(path(v)), words[i], path(u)))
-        if loop and loop not in seen and _normal_form(reversed(loop)) not in seen:
+        if loop and loop not in seen:
             seen.add(loop)
             max_letters -= len(loop)
             yield loop
@@ -673,49 +676,40 @@ def _schreier_loops(words, perms, tree, max_letters: int):
 def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool:
     """True when the letters are proved transitive on the level-1 set ``base`` and up to level k.
 
-    Each set is settled by one ``_bfs_tree``: a missed point means several
-    orbits, and a tree that reaches every point gives the loops of the next
-    level.  At level j (the module docstring gives the argument) t is
-    ``base``'s least point for j = 2 and then the root of the last tree,
-    ``_fiber_step``'s point at offsets (0, 0), and its loops
-    (``_schreier_loops``) come from the words whose tree that is: the
-    letters on X_1, then the loops of level j - 1 on their fiber.  They are
-    added LOOP_ROUND at a time, up to FIBER_LOOPS, until their tree reaches
-    the p^2 points over t, each loop's table fitted by ``_fiber_perms``.  If
-    the loops run out first, nothing is proved and this returns False.
+    Each level is settled by one ``_bfs_tree`` of its words: a missed point
+    means several orbits, and a tree that reaches every point gives the
+    words of the next level.  The words on X_1 are the letters; at level j
+    (the module docstring gives the argument) they are LOOPS loops
+    (``_schreier_loops``) drawn from the last tree, each fitted by
+    ``_fiber_perms`` on the p^2 points of X_j over t, which is ``base``'s
+    least point for j = 2 and then the root of the last tree,
+    ``_fiber_step``'s point at offsets (0, 0).  If a tree misses a point or
+    the loops run out, nothing is proved and this returns False.
     """
     if not len(base):
         return False
     # per level-1 point: each letter's permutation, the BFS tree and the
-    # loop search's arrays (traced peaks 66 and 117 bytes a point for the 3
-    # and 9 letters); per fiber point: a level's FIBER_LOOPS permutations
-    # and their BFS, two levels of them from j = 3 (traced peaks up to 305
-    # bytes a point with every loop drawn, at p = 101 to 809).  The loop
-    # words' letters have the rest of the budget, LETTER_BYTES each
-    per_fiber = 8 * p**2 * (FIBER_LOOPS + 16)
+    # loop search's arrays (traced peaks 84 and 138 bytes a point for the 3
+    # and 9 letters); per fiber point: a level's LOOPS permutations and
+    # their BFS, two levels of them from j = 3 (traced peaks up to 97 bytes
+    # a point at level 2, at p = 101 to 809, and 180 over two levels, at
+    # p = 101 to 211).  The loop words' letters have the rest of the
+    # budget, LETTER_BYTES each
+    per_fiber = 8 * p**2 * (LOOPS + 16)
     need = max(8 * len(base) * (len(letters) + 10) + per_fiber, 2 * per_fiber if k > 2 else 0)
     check_budget(need, "fiber proof")
     max_letters = (_max_mem() - need) // LETTER_BYTES
     words = [(g,) for g in letters]
     perms = [_word_perm(base, w, p) for w in words]
-    tree = _bfs_tree(perms)  # None when the letters leave X_1 in several orbits
-    if tree is None:
-        return False
     t = [int(c) for c in _decode(base[0], p)]
-    for j in range(2, k + 1):
-        perm = _fiber_perms(t, p, j, d)
+    j = 1  # the level the words act on
+    while (tree := _bfs_tree(perms) if perms else None) is not None and j < k:
+        j += 1
         held = sum(map(len, words))
-        schreier = islice(_schreier_loops(words, perms, tree, max_letters - held), FIBER_LOOPS)
-        loops, loop_perms, tree = [], [], None
-        while tree is None and (batch := list(islice(schreier, LOOP_ROUND))):
-            loops += batch
-            loop_perms += map(perm, batch)
-            tree = _bfs_tree(loop_perms)
-        if tree is None:
-            return False
-        words, perms = loops, loop_perms
+        words = list(islice(_schreier_loops(words, perms, tree, max_letters - held), LOOPS))
+        perms = list(map(_fiber_perms(t, p, j, d), words))
         t = _fiber_step(t, 0, 0, p, j, d)  # code 0, the root of the next level's tree
-    return True
+    return tree is not None
 
 
 def partition(points: np.ndarray, maps, joins=()) -> tuple[list[int], list[int]]:

@@ -536,6 +536,30 @@ def test_a_split_fiber_falls_back_to_the_bfs():
     assert (part.orbit_sizes, part.representatives) == ([36, 1728], [(10, 1, 0), (22, 3, 0)])
 
 
+@pytest.mark.parametrize(
+    "p, k, D, gens",
+    [
+        (7, 3, 35, "aut"),
+        (7, 4, 35, "aut"),
+        (13, 2, 39, "gamma"),
+        (13, 2, 58, "aut"),
+        (19, 2, 37, "gamma"),
+        (19, 2, 86, "gamma"),
+        (19, 2, 222, "gamma"),
+        (23, 2, 84, "aut"),
+        (23, 2, 245, "aut"),
+        (23, 2, 406, "aut"),
+    ],
+)
+def test_one_draw_of_loops_proves_these_classes(p, k, D, gens):
+    # one orbit each, proved by one draw of loops in the edge order of
+    # _schreier_loops (the deepest non-tree edges, each followed by one in
+    # every count // 32); drawn from a spread over the nodes instead, or
+    # from the deepest edges alone, the loops leave some of these fibers split
+    base = enumerate_points(p, 1, D)
+    assert census._lifts_transitive(base, p, k, D % p**k, census._family(gens))
+
+
 def test_a_proof_enumerates_no_level_k_set(monkeypatch):
     # (13, 4, 0) needs ~32 GB to lift; the proof works on fibers of 169 points
     real = census.enumerate_points
@@ -569,17 +593,25 @@ def test_a_proof_enumerates_no_level_k_set(monkeypatch):
 def test_fiber_proof_budget_bounds_the_traced_peak(monkeypatch):
     # the level-1 arrays and the fiber permutations stay within the budget
     # the proof is checked against, also when the top fiber splits under
-    # every one of its FIBER_LOOPS loops, and a smaller budget refuses it
-    level, bfs_tree = [], census._bfs_tree
+    # its loops, which are one draw of LOOPS tables, and a smaller budget
+    # refuses it
+    level, tables, bfs_tree = [], [], census._bfs_tree
     fiber_perms = census._fiber_perms
-    monkeypatch.setattr(census, "_fiber_perms", lambda *a: level.append(a[2]) or fiber_perms(*a))
+
+    def counted(t, p, j, d):
+        level.append(j)
+        perm = fiber_perms(t, p, j, d)
+        return lambda word: tables.append(j) or perm(word)
+
+    monkeypatch.setattr(census, "_fiber_perms", counted)
     for p, k, gens in ((211, 2, "aut"), (211, 2, "gamma"), (101, 3, "aut"), (101, 3, "gamma")):
         base = enumerate_points(p, 1, 0)
         letters = census._family(gens)
-        fiber = 8 * p**2 * (census.FIBER_LOOPS + 16)
+        fiber = 8 * p**2 * (census.LOOPS + 16)
         need = max(8 * len(base) * (len(letters) + 10) + fiber, 2 * fiber if k > 2 else 0)
         for split in (False, True):
             level.clear()
+            tables.clear()
             monkeypatch.setattr(
                 census,
                 "_bfs_tree",
@@ -592,6 +624,7 @@ def test_fiber_proof_budget_bounds_the_traced_peak(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert peak <= need, (p, k, gens, split, peak, need)
+            assert 0 < tables.count(k) <= census.LOOPS, (p, k, gens, split)
     monkeypatch.setattr(census, "_bfs_tree", bfs_tree)
     monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "2M")  # the level-1 solve needs 1.3 MB
     with pytest.raises(BudgetError, match="fiber proof"):
