@@ -13,20 +13,16 @@ instead of scanning p^{3k} triples.  ``enumerate_points``' mode "brute",
 the O(p^{3k}) scan of every triple (``_brute_shard``), stays as the
 reference at every level.
 
-The smooth fiber.  Over a point t of X_{j-1} (j >= 2) nonsingular mod p,
-the points of X_j are t + p^(j-1) h with h mod p solving one linear
-equation, grad P(t) . h = (D - P(t)) / p^(j-1) mod p, as P(t + p^(j-1) h)
-= P(t) + p^(j-1) grad P(t) . h mod p^j: so p^2 points, one for each pair
-of free offsets (u, v) in the coordinates ``surface.unit_partial`` frees
-(``_fiber_step``).  A mod-p point thus has p^{2(k-1)} lifts mod p^k:
-``count_points`` multiplies by that, ``_lift`` steps level by level at
-all p^2 offsets and the fiber proof at three.  A word w fixing t mod
-p^(j-1) has integer coefficients, so w(t + p^(j-1) h) = w(t) + p^(j-1)
-Dw(t) h mod p^j sends (u, v) to b + A (u, v) mod p; ``affine_table``
-tabulates that map on the codes u + p v from the images of the frame
-(0, 0), (1, 0), (0, 1), for ``_fiber_perms`` and ``certify``'s residual
-stage.  ``_word_perm``, a word letter by letter on a sorted set, permutes
-X_1 and is the fit's reference.
+The smooth fiber.  A mod-p point has p^{2(k-1)} lifts mod p^k, p^2 over
+each point t of X_{j-1} at level j, one per pair of free offsets (u, v)
+(``surface.fiber_step``): ``count_points`` multiplies by that, ``_lift``
+steps level by level at all p^2 offsets and the fiber proof at three.
+A word w fixing t mod p^(j-1) has integer coefficients, so w(t + p^(j-1)
+h) = w(t) + p^(j-1) Dw(t) h mod p^j sends (u, v) to b + A (u, v) mod p;
+``affine_table`` tabulates that map on the codes u + p v from the images
+of the frame (0, 0), (1, 0), (0, 1), for ``_fiber_perms`` and
+``certify``'s residual stage.  ``_word_perm``, a word letter by letter on
+a sorted set, permutes X_1 and is the fit's reference.
 
 Sets are built and deduplicated by sorting, never by numpy's ``unique``,
 which on numpy 2.x hashes int64 input and runs tens of times slower.
@@ -88,7 +84,7 @@ import numpy as np
 
 from .padic import PadicInt, _check_odd_prime, residue_of, sqrt
 from .surface import (
-    ALL_LETTERS, VIETA_LETTERS, generator_formula, gradient, unit_partial
+    ALL_LETTERS, VIETA_LETTERS, fiber_step, generator_formula, gradient, unit_partial
 )
 
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
@@ -300,30 +296,10 @@ def enumerate_points(p, k, D, mode="auto", workers=1, max_mem=None) -> np.ndarra
     return points
 
 
-def _fiber_step(t, u, v, p: int, j: int, d: int):
-    """The points of X_j at free offsets (u, v) over t, a point of X_{j-1}, as residues mod p^j.
-
-    t is an int triple, or a triple of numpy arrays of points over one
-    mod-p point, of residues below p^(j-1); (u, v) broadcast against it.
-    The solved coordinate s gains p^(j-1) times the digit (D - P) / p^(j-1)
-    / dP/ds mod p, P taken once, before the correction.  Every factor of a
-    product is below p^j, so products stay below p^(2j) < 2^42.
-    """
-    M, q = p**j, p ** (j - 1)
-    base = [int(np.ravel(c)[0]) % p for c in t]  # the mod-p point under all of t
-    s = unit_partial(base, p)
-    a, b = (t[i] + q * e for i, e in zip((i for i in range(3) if i != s), (u, v)))
-    c = t[s]
-    digit = (d - a * a - b * b - c * (c - a * b % M)) % M // q
-    coords = [a, b]
-    coords.insert(s, c + q * (digit * pow(gradient(*base)[s], -1, p) % p))
-    return coords
-
-
 def _lift(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
     """Sorted codes mod p^k of the points over each point mod p in ``base_codes``.
 
-    Each fiber has p^{2(k-1)} points: ``_fiber_step`` takes the points of
+    Each fiber has p^{2(k-1)} points: ``fiber_step`` takes the points of
     X_{j-1} over the mod-p point to all p^2 free offsets in X_j, for j = 2..k.
     """
     M = p**k
@@ -333,7 +309,7 @@ def _lift(base_codes: np.ndarray, p: int, k: int, d: int) -> np.ndarray:
     for i, code in enumerate(base_codes):
         t = _decode(np.full((1, 1), code), p)
         for j in range(2, k + 1):
-            t = [c.reshape(-1, 1) for c in _fiber_step(t, u, v, p, j, d)]
+            t = [c.reshape(-1, 1) for c in fiber_step(t, u, v, p, j, d)]
         out[i * fiber : (i + 1) * fiber] = _encode(*t, M).ravel()
     out.sort()
     return out
@@ -500,14 +476,14 @@ def affine_table(b, e1, e2, p: int) -> np.ndarray:
 def _fiber_perms(t, p: int, j: int, d: int):
     """Each word's table on the codes u + p v of X_j over t, a point of X_{j-1} (an int triple).
 
-    (u, v) are a point's free offsets from t mod p^(j-1) (``_fiber_step``).
+    (u, v) are a point's free offsets from t mod p^(j-1) (``fiber_step``).
     ``affine_table`` fits a word fixing t mod p^(j-1) from its images of the
     frame, the points at offsets (0, 0), (1, 0) and (0, 1), mod p^j (the
     module docstring gives the argument).  An image that does not reduce to
     t mod p^(j-1) escaped the fiber and raises ``RuntimeError``, as ``_locate`` does.
     """
     M, q = p**j, p ** (j - 1)
-    frame = [_fiber_step(t, u, v, p, j, d) for u, v in ((0, 0), (1, 0), (0, 1))]
+    frame = [fiber_step(t, u, v, p, j, d) for u, v in ((0, 0), (1, 0), (0, 1))]
     free = [i for i in range(3) if i != unit_partial(t, p)]
 
     def offsets(triple):
@@ -640,17 +616,15 @@ def _schreier_loops(words, perms, tree, max_letters: int):
     for layer in layers[1:]:
         reach[layer] = reach[parent[layer]] + size[step[layer]]
     deep = np.concatenate(layers)[::-1]
-    # loose[r, i]: the edge from deep[r] by words[i] is not a tree edge
-    loose = np.stack(
-        [(parent[perm[deep]] != deep) | (step[perm[deep]] != i) for i, perm in enumerate(perms)],
-        axis=1,
-    )
-    ends = np.cumsum(loose.sum(axis=1))
+    # the tree edges leaving a node are the edges into its children
+    ends = np.cumsum(len(perms) - np.bincount(parent[1:], minlength=len(parent))[deep])
 
     def edge(j):
         """The j-th non-tree edge (u, i), deepest u first."""
         r = int(np.searchsorted(ends, j, side="right"))
-        return int(deep[r]), int(np.flatnonzero(loose[r])[j - (ends[r - 1] if r else 0)])
+        u = int(deep[r])
+        loose = [i for i, perm in enumerate(perms) if parent[perm[u]] != u or step[perm[u]] != i]
+        return u, loose[j - (ends[r - 1] if r else 0)]
 
     def path(v):
         letters = []
@@ -683,7 +657,7 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool
     (``_schreier_loops``) drawn from the last tree, each fitted by
     ``_fiber_perms`` on the p^2 points of X_j over t, which is ``base``'s
     least point for j = 2 and then the root of the last tree,
-    ``_fiber_step``'s point at offsets (0, 0).  If a tree misses a point or
+    ``fiber_step``'s point at offsets (0, 0).  If a tree misses a point or
     the loops run out, nothing is proved and this returns False.
     """
     if not len(base):
@@ -708,7 +682,7 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool
         held = sum(map(len, words))
         words = list(islice(_schreier_loops(words, perms, tree, max_letters - held), LOOPS))
         perms = list(map(_fiber_perms(t, p, j, d), words))
-        t = _fiber_step(t, 0, 0, p, j, d)  # code 0, the root of the next level's tree
+        t = fiber_step(t, 0, 0, p, j, d)  # code 0, the root of the next level's tree
     return tree is not None
 
 

@@ -2,8 +2,8 @@
 
 A level-1 polydisk is a fiber of reduction mod p on the surface.  Charts
 solve x: when dP/dx is a unit at the base point, (y, z) parametrize the
-fiber and x is the implicit function xi of (y, z), evaluated on demand by
-Newton's method (never stored as a series).  A base whose dP/dx vanishes
+fiber and x is the implicit function xi of (y, z), evaluated on demand
+digit by digit (never stored as a series).  A base whose dP/dx vanishes
 mod p has no chart; since the transpositions are automorphisms, a caller
 orients it first by the transposition that brings a unit partial to x (as
 ``certify._pick_arbitrary_base`` does).  Chart coordinates (u, v) are the
@@ -18,13 +18,7 @@ import random
 from .chebyshev import fixed_point_Tp
 from .flow import PointMap
 from .padic import PadicInt
-from .surface import (
-    AutWord,
-    SurfacePoint,
-    apply_word,
-    rotation,
-    solve_fiber,
-)
+from .surface import AutWord, SurfacePoint, apply_word, rotation, solve_fiber
 
 
 class PolydiskChart:
@@ -47,8 +41,11 @@ class PolydiskChart:
 
     def xi(self, y: PadicInt, z: PadicInt) -> PadicInt:
         """x on the fiber over (y, z)."""
-        seed = self.base.x.truncate(min(self.precision, y.precision, z.precision))
-        return solve_fiber(y, z, self.base.D, seed)
+        p, k = self.prime, min(self.precision, y.precision, z.precision)
+        if (y.residue - self.base.y.residue) % p or (z.residue - self.base.z.residue) % p:
+            raise ValueError("leaves polydisk")
+        triple = (self.base.x.residue, y.residue, z.residue)
+        return PadicInt(p, k, solve_fiber(triple, p, k, self.base.D.residue)[0])
 
     def psi(self, u: PadicInt, v: PadicInt) -> SurfacePoint:
         """Chart map: (u, v) -> surface point of the polydisk."""

@@ -11,11 +11,11 @@ multiplies (y, z) by C(x)^2.
 ``GENERATORS`` is the one definition of the action: each letter's ring
 formula on (x, y, z), with no modulus.  It runs on ``PadicInt`` coordinates
 here and on residues mod p^k in ``census``, which reduces only the
-coordinates a letter rewrites.  ``gradient`` (the partials of P),
-``unit_partial`` (the first coordinate whose partial is a unit mod p) and
-``solve_fiber`` (that coordinate by Newton over the other two) are likewise
-the one definition of the smooth fiber; on residues, ``census._fiber_step``
-lifts it one digit at a time with the same partial.
+coordinates a letter rewrites.  ``gradient``, ``unit_partial`` (the first
+coordinate whose partial is a unit mod p), ``fiber_step`` (X_j over a point
+t of X_{j-1}: P(t + p^(j-1) h) = P(t) + p^(j-1) grad P(t) . h mod p^j) and
+``solve_fiber`` (that step at given free coordinates, under ``lift_point``
+and the charts) are likewise the one definition of the smooth fiber.
 
 An ``AutWord`` is stored as runs: maximal alternating blocks of two Vieta
 letters, such as the stabilizer (s_a s_b)^m of ``rotation``, and single
@@ -32,8 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import total_ordering
 
+import numpy as np
+
 from .chebyshev import companion_power
-from .padic import PadicInt, newton_solve, residue_of
+from .padic import PadicInt, residue_of
 
 GENERATORS = {
     "sx": lambda x, y, z: (y * z - x, y, z),
@@ -71,9 +73,42 @@ def unit_partial(triple, p: int) -> int:
     raise ValueError("point is singular mod p")
 
 
-def solve_fiber(a: PadicInt, b: PadicInt, D: PadicInt, seed: PadicInt) -> PadicInt:
-    """The root c = seed mod p of c^2 - ab c + (a^2 + b^2 - D), by Newton."""
-    return newton_solve([a * a + b * b - D, -(a * b), 1], seed)
+def fiber_step(t, u, v, p: int, j: int, d: int):
+    """The points of X_j at free offsets (u, v) over t, a point of X_{j-1}, as residues mod p^j.
+
+    t is an int triple, or a triple of numpy arrays of points over one
+    mod-p point, of residues below p^(j-1); (u, v) broadcast against it.
+    The solved coordinate s gains the digit (D - P) / p^(j-1) / dP/ds mod p.
+    Factors stay below p^j, so products stay below p^(2j) < 2^42.
+    """
+    base = [int(np.ravel(c)[0]) for c in t]  # the mod-p point under all of t
+    s = unit_partial(base, p)
+    return _step(t, u, v, p, j, d, s, pow(gradient(*base)[s], -1, p))
+
+
+def _step(t, u, v, p: int, j: int, d: int, s: int, inverse: int):
+    """``fiber_step`` with the solved coordinate s and 1 / (dP/ds) mod p given."""
+    M, q = p**j, p ** (j - 1)
+    a, b = (t[i] + q * e for i, e in zip((i for i in range(3) if i != s), (u, v)))
+    c = t[s]
+    digit = (d - a * a - b * b - c * (c - a * b % M)) % M // q
+    coords = [a, b]
+    coords.insert(s, c + q * (digit * inverse % p))
+    return coords
+
+
+def solve_fiber(triple, p: int, k: int, d: int) -> list[int]:
+    """The point of X_k over ``triple`` mod p with its free coordinates, as residues mod p^k.
+
+    ``fiber_step`` at j = 2..k takes the free integers' (j-1)-th digits; unique by Hensel.
+    """
+    s = unit_partial(triple, p)
+    inverse = pow(gradient(*map(int, triple))[s], -1, p)
+    free = [int(c) for i, c in enumerate(triple) if i != s]
+    t = [int(c) % p for c in triple]
+    for j in range(2, k + 1):
+        t = _step(t, *(c // p ** (j - 1) % p for c in free), p, j, d, s, inverse)
+    return t
 
 
 @dataclass(frozen=True)
@@ -333,15 +368,9 @@ def dist(a: SurfacePoint, b: SurfacePoint) -> DistClass:
 
 
 def lift_point(triple, D, p: int, k: int) -> SurfacePoint:
-    """Hensel-lift a mod-p point to an exact point at precision k.
+    """Hensel-lift a mod-p point to an exact point at precision k: ``solve_fiber``, validated.
 
-    Two coordinates keep their integer representatives; the remaining one
-    (the first with a unit partial derivative) is refined by Newton so the
-    equation holds modulo p^k.  D is read mod p^k (``residue_of``).
+    D is read mod p^k (``residue_of``).
     """
-    D = PadicInt(p, k, residue_of(D, p, k))
-    coords = [PadicInt(p, k, int(c)) for c in triple]
-    i = unit_partial(triple, p)
-    seed = coords.pop(i)
-    coords.insert(i, solve_fiber(*coords, D, seed))
-    return SurfacePoint(*coords, D).validate()
+    d = residue_of(D, p, k)
+    return point(*solve_fiber(triple, p, k, d), d, p, k)

@@ -29,11 +29,13 @@ from markoff_padic.surface import (
     ALL_LETTERS,
     GENERATORS,
     VIETA_LETTERS,
+    fiber_step,
     gradient,
     is_point,
     lift_point,
     unit_partial,
 )
+from test_surface import newton_fiber
 
 ODD_PRIMES_BELOW_60 = [p for p in range(3, 60, 2) if all(p % q for q in range(3, p, 2))]
 
@@ -716,8 +718,8 @@ def test_fitted_fiber_tables_match_the_letter_by_letter_action(pk, D, gens):
 def test_the_fiber_frame_is_the_lifts_of_t_at_unit_offsets(pk, D):
     # at every level the step's frame lies on X_j over t at free offsets
     # (0, 0), (1, 0), (0, 1), and the empty word fixes every code; carried
-    # from the least mod-p point, the (0, 0) point at level k is
-    # lift_point's t~, which Newton reaches by another route
+    # from the least mod-p point, the (0, 0) point at level k is t~, the
+    # Newton root over its free coordinates
     p, k = pk
     base = enumerate_points(p, 1, D)
     assume(len(base))
@@ -725,7 +727,7 @@ def test_the_fiber_frame_is_the_lifts_of_t_at_unit_offsets(pk, D):
     free = [i for i in range(3) if i != unit_partial(t, p)]
     for j in range(2, k + 1):
         M, q = p**j, p ** (j - 1)
-        frame = [census._fiber_step(t, u, v, p, j, D % p**k) for u, v in ((0, 0), (1, 0), (0, 1))]
+        frame = [fiber_step(t, u, v, p, j, D % p**k) for u, v in ((0, 0), (1, 0), (0, 1))]
         for triple, offsets in zip(frame, ((0, 0), (1, 0), (0, 1))):
             x, y, z = triple
             assert (x * x + y * y + z * z - x * y * z - D) % M == 0
@@ -734,8 +736,7 @@ def test_the_fiber_frame_is_the_lifts_of_t_at_unit_offsets(pk, D):
             assert tuple((triple[i] - t[i]) % M // q for i in free) == offsets
         assert np.array_equal(census._fiber_perms(t, p, j, D % p**k)(()), np.arange(p * p))
         t = frame[0]
-    tilde = lift_point(_decode(base[0], p), D, p, k)
-    assert t == [c.residue for c in tilde.coords()]
+    assert t == newton_fiber([int(c) for c in _decode(base[0], p)], D, p, k)
 
 
 def test_a_word_that_moves_the_base_point_escapes_the_fiber():

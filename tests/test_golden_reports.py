@@ -32,6 +32,13 @@ GOLDEN = {
     "catalog --p 7 --k 4 --case D2": "f34a93dc65f48e157a7b15f158309f10e333896ea10441ad66b01fc76673acb7",
     "flow-check --p 7": "9e532d033fdc078e346a4c6cf3a1498d108c97166ea09bc19912b6e48c76a62b",
     "identities --p 7": "95b8c350e2b067d1ee6844ffe5c05da0526eb74a8e42e06cfaba88722cc9f700",
+    # charts and certificates past K = 3, where xi and lift_point solve many digits
+    "certify --p 13 --k 10": "d7b4e938a5c545a304e32a94d1569bd62ea75f8fec49f967f0beca010b47182f",
+    "certify --p 5 --d 3 --k 8": "daba9e9a0bd976c9cbefeb3d9f7dddb08e141852a8803d3f7559ca26b418777c",
+    "certify --p 23 --k 9": "1f18c661ed19886bc6b7c3f15663d8f6a6c51ccf13932635950065fa53f0034a",
+    "expansions --p 7 --k 8": "11e29fdd3c3280727882fd25b6f15e475a61370116fc16ae4cc95ce8f4e3cc2f",
+    "expansions --p 101 --k 6": "a60c9936f531e370ca1cbb2ad25747c5f951c07f86dc689bc4301fca87d6aa5c",
+    "xd-check --p 13 --k 6 --d 1": "232afdd0f5390a65895d1f9e3f9550bef046cfb0a3733a1fc0ba35be5a89635c",
 }
 
 

@@ -78,6 +78,14 @@ def test_chart_roundtrip():
         assert got_u == uu and got_v == vv
 
 
+def test_xi_refuses_a_point_off_the_polydisk():
+    ch = _chart733()  # base (3, 3, 3) mod 7
+    for y, z in ((4, 3), (3, 11)):
+        with pytest.raises(ValueError, match="leaves polydisk"):
+            ch.xi(PadicInt(7, 3, y), PadicInt(7, 3, z))
+    assert ch.xi(PadicInt(7, 3, 10), PadicInt(7, 3, 3)).residue % 7 == 3
+
+
 @st.composite
 def _mod_p_points(draw):
     """A nonsingular point mod p, half the time one whose dP/dx vanishes."""

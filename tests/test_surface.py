@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from markoff_padic.census import _decode, _encode, _lift, enumerate_points
 from markoff_padic.chebyshev import companion_power
-from markoff_padic.padic import PadicInt
+from markoff_padic.padic import PadicInt, newton_solve
+from markoff_padic.polydisk import PolydiskChart
 from markoff_padic.surface import (
     ALL_LETTERS,
     VIETA_LETTERS,
@@ -30,6 +31,15 @@ from markoff_padic.surface import (
 
 def _padic(p, k, v):
     return PadicInt(p, k, v)
+
+
+def newton_fiber(triple, D, p, k):
+    """Reference for ``solve_fiber``: the solved coordinate mod p^k by Newton over the free two."""
+    s = unit_partial(triple, p)
+    coords = [_padic(p, k, int(c)) for c in triple]
+    a, b = (c for i, c in enumerate(coords) if i != s)
+    coords[s] = newton_solve([a * a + b * b - D, -(a * b), 1], coords[s])
+    return [c.residue for c in coords]
 
 
 def _random_points(p, k, D, n, seed):
@@ -289,16 +299,43 @@ def _fiber_cases(draw):
 @settings(max_examples=40, deadline=None)
 @given(_fiber_cases())
 def test_lift_point_lands_in_the_lifted_census(case):
-    # the PadicInt fiber solve lands in the census numpy lift of its fiber
+    # Newton's fiber solve, lift_point's reference, lands in the census
+    # numpy lift of its fiber
     p, k, D, t = case
-    pt = lift_point(t, D, p, k)
-    assert pt.residues(1) == t
-    code = _encode(*pt.residues(), p**k)
+    solved = newton_fiber(t, D, p, k)
+    assert [c % p for c in solved] == list(t)
+    code = _encode(*solved, p**k)
     lifted = _lift(np.array([_encode(*t, p)]), p, k, D)
     i = np.searchsorted(lifted, code)
     assert i < len(lifted) and lifted[i] == code
-    units = [j for j, d in enumerate(pt.partials()) if d.is_unit()]
+    units = [j for j, d in enumerate(lift_point(t, D, p, k).partials()) if d.is_unit()]
     assert unit_partial(t, p) == units[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7, 11, 13, 101)),
+    st.integers(1, 12),
+    st.integers(-(10**30), 10**30),
+    st.data(),
+)
+def test_lift_point_and_xi_are_the_newton_root(p, k, D, data):
+    # the digit step and Newton reach the one root Hensel allows, whichever
+    # coordinate is solved and with the free ones given to up to k digits
+    base = enumerate_points(p, 1, D % p)
+    assume(len(base))
+    t = [int(c) for c in _decode(base[data.draw(st.integers(0, len(base) - 1))], p)]
+    s = unit_partial(t, p)
+    digits = data.draw(st.integers(1, k))
+    triple = [c if i == s else c + p * data.draw(st.integers(0, p ** (digits - 1) - 1))
+              for i, c in enumerate(t)]
+    want = newton_fiber(triple, D, p, k)
+    assert [c.residue for c in lift_point(triple, D, p, k).coords()] == want
+    # a chart solves x: swap the solved coordinate there (P is symmetric)
+    for v in (t, triple, want):
+        v[0], v[s] = v[s], v[0]
+    chart = PolydiskChart(lift_point(t, D, p, k))
+    assert chart.xi(*(_padic(p, k, c) for c in triple[1:])) == _padic(p, k, want[0])
 
 
 def test_generator_orders():
