@@ -21,8 +21,7 @@ A word w fixing t mod p^(j-1) has integer coefficients, so w(t + p^(j-1)
 h) = w(t) + p^(j-1) Dw(t) h mod p^j sends (u, v) to b + A (u, v) mod p;
 ``affine_table`` tabulates that map on the codes u + p v from the images
 of the frame (0, 0), (1, 0), (0, 1), for ``_fiber_perms`` and
-``certify``'s residual stage.  ``_word_perm``, a word letter by letter on
-a sorted set, permutes X_1 and is the fit's reference.
+``certify``'s residual stage.
 
 Sets are built and deduplicated by sorting, never by numpy's ``unique``,
 which on numpy 2.x hashes int64 input and runs tens of times slower.
@@ -35,8 +34,8 @@ Generator images evaluate ``surface.GENERATORS``, the one definition of the
 action, on residues mod M (numpy arrays in the orbit BFS, int triples in
 ``residue_bfs``) and reduce only the coordinates a letter rewrites: the
 others are inputs, already reduced, and reducing all three measured 5-17%
-slower in the orbit BFS.  The fiber fit (above) runs the formulas on three
-int triples and reduces all three coordinates, the cheaper way on ints.
+slower in the orbit BFS.  The fiber fit (above) maps its three frame
+points with ``surface.apply_word`` on ``PadicInt``, each run one companion power.
 
 The orbit BFS runs the three Vieta involutions only.  The other six
 letters generate a group H of order 24 that normalizes the Vieta group, so
@@ -51,24 +50,38 @@ flags.  A request over the memory budget raises ``BudgetError``.
 A single orbit at level k >= 2 is proved without enumerating level k.  If
 the group is transitive on X_{j-1} and the stabilizer G_t of one point t
 is transitive on the fiber over t, the p^2 points of X_j that reduce to
-t, then it is transitive on X_j.  Schreier's lemma gives elements of G_t:
-for a BFS tree from t with path words phi_u, each edge u -> g(u) gives the
-loop phi_{g(u)}^-1 g phi_u, and as every letter is an involution, a
-word's inverse is its reversal.  The loops at level 1 come from the
-letters' BFS over X_1; those at level j from the BFS of the fiber at
-level j - 1 under the loops that were transitive on it.  At level j, t is
-the least mod-p point for j = 2 and then the last tree's root, its frame
-point (0, 0): t~ mod p^(j-1) for a p-adic point t~ over it.  Each level
-draws one set of LOOPS loops, which generate a subgroup of G_t, so one
-orbit under them on the fiber is a proof, and several orbits prove
-nothing: ``orbits`` then enumerates and runs the BFS.  Either way the
-partition is exact; the draw only picks the path.  A loop is kept as a
-reduced Vieta word followed by one element of H (``_normal_form``), since
-each h in H moves past a Vieta letter as h s_a = s_b h; the words still
-grow about 2.5-5x a level at small p.  The proof holds O(|X_1| + p^2)
-arrays and its loop words, budgeted like the rest: when the words would
-pass the budget, the loops run out and ``orbits`` falls back to the lift,
-which refuses as its own budget says.
+t, then it is transitive on X_j.  At level j, t is the least mod-p point
+for j = 2 and then the last fiber's frame point (0, 0): t~ mod p^(j-1)
+for the p-adic point t~ over it that keeps its free coordinates.  The
+elements of G_t are rotation powers, the paper's stabilizers and
+``certify``'s: r_c = ``surface.rotation(c, 1)``, the Vieta pair fixing
+coordinate c, acts on the other two as C(c)^2, and w = h^-1 r_c h for
+each of the ten ``surface.CONJUGATORS`` h and c = x, y, z.  These are
+Vieta words, in both the Vieta group and Aut, so the family's letters play
+no part in the fiber.  With n the return time of t mod p under w, w^n
+fixes t mod p; each level tries the three with h = () first, then adds
+the nine with h of length 1 and the eighteen of length 2 while the fiber
+stays split.  They generate a subgroup of G_t, so one orbit under them on
+the fiber is a proof, and several orbits prove nothing: ``orbits`` then
+enumerates and runs the BFS.  Either way the partition is exact.  Each
+w^n is a word of at most three runs, whatever n, so a level fits at most
+thirty tables and runs a BFS of p^2 points a stage, at any depth; the
+proof holds O(|X_1| + p^2) arrays, budgeted up front.
+
+The exponent.  Suppose w^n fixes t~ mod p^m with m >= 1, so w^n(t~) =
+t~ + p^m c.  Its linear part J at t~ is unipotent mod p: r_c^n fixes
+s = h(t) mod p and acts on s's other two coordinates (a, b) by C^(2n),
+which fixes (a, b) mod p; unless (a, b) = 0 mod p, 1 is an eigenvalue,
+and as the determinant is 1 both are.  J is conjugate mod p to the linear
+part of r_c^n at h(t~), block triangular with C^(2n) and 1 on the
+diagonal.  Then w^(nr)(t~) = t~ + p^m (I + J + ... + J^(r-1)) c mod
+p^(m+1), and with J = I + N, N^3 = 0 mod p, the sum is r I + C(r, 2) N +
+C(r, 3) N^2, 0 mod p at r = p^2, and at r = p when p >= 5.  So
+multiplying n by p while w^n moves t mod p^(j-1) ends, after one factor a
+level at p >= 5.  The exception (a, b) = 0 mod p puts s among the six
+points with two coordinates 0 mod p, an Aut orbit of its own; X_1, one
+orbit, is then those six points, t~ keeps its two zeros exactly, and so
+does every Vieta image of it, which w^n then fixes exactly.
 """
 
 from __future__ import annotations
@@ -77,21 +90,28 @@ import os
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, islice
 from typing import Callable
 
 import numpy as np
 
 from .padic import PadicInt, _check_odd_prime, residue_of, sqrt
 from .surface import (
-    ALL_LETTERS, VIETA_LETTERS, fiber_step, generator_formula, gradient, unit_partial
+    ALL_LETTERS,
+    CONJUGATORS,
+    VIETA_LETTERS,
+    AutWord,
+    SurfacePoint,
+    apply_word,
+    fiber_step,
+    generator_formula,
+    gradient,
+    rotation,
+    unit_partial,
 )
 
 DEFAULT_MAX_MEM = 1 << 30  # bytes, overridden by MARKOFF_PADIC_MAX_MEM
 MAX_MODULUS = 1 << 21  # p^k must stay below this so codes < M^3 fit in int64
 SOLVE_BLOCK = 1 << 14  # (x, y) cells per block of the level-1 solve
-LOOPS = 8  # Schreier loops drawn per level of the fiber proof
-LETTER_BYTES = 36  # per loop letter: 8 in its word, the rest for the lists it is built from
 
 
 class BudgetError(ValueError):
@@ -379,11 +399,20 @@ def _locate(points: np.ndarray, images: np.ndarray) -> np.ndarray:
 
 
 def _visit_images(points: np.ndarray, maps, idx: np.ndarray, visited) -> np.ndarray:
-    """Indices of the unvisited images of ``points[idx]`` under ``maps``, now marked."""
-    found = _locate(points, _sorted_distinct(np.concatenate([m(points[idx]) for m in maps])))
-    new = found[~visited[found]]
-    visited[new] = True
-    return new
+    """Indices of the unvisited images of ``points[idx]`` under ``maps``, now marked.
+
+    The indices are taken in chunks of at most 2 len(points) images, each
+    chunk marked before the next, so many maps on a large frontier, such
+    as the fiber proof's thirty tables, hold O(len(points)) images at once.
+    """
+    step = max(1, 2 * len(points) // len(maps))
+    new = []
+    for i in range(0, len(idx), step):
+        at = points[idx[i : i + step]]
+        found = _locate(points, _sorted_distinct(np.concatenate([m(at) for m in maps])))
+        new.append(found[~visited[found]])
+        visited[new[-1]] = True
+    return np.concatenate(new)
 
 
 def _expand_orbit(points: np.ndarray, maps, seed_idx: int, visited, joins=()) -> int:
@@ -408,26 +437,26 @@ def _expand_orbit(points: np.ndarray, maps, seed_idx: int, visited, joins=()) ->
 def orbits(p, k, D, gens="gamma") -> OrbitPartition:
     """Partition of the level-k point set under the chosen generator family.
 
-    At k >= 2 a single orbit is first proved (``_lifts_transitive``): a
-    BFS of X_1 under the letters reaches every point, and at each level
-    j = 2..k Schreier loops at one point t of X_{j-1}, which generate a
-    subgroup of its stabilizer, are transitive on the p^2 points of X_j
-    over t, which makes X_j one orbit (the module docstring gives the
-    argument).  Then the partition is the whole set, |X_1| p^{2(k-1)}
-    points, and its representative, the least code, is enumerated only
-    when it is read.  Otherwise (the action splits mod p, the drawn loops
-    leave a fiber split, or their words outgrow the budget) the level-k set
-    is enumerated and partitioned by BFS, so the result is exact either way.
+    At k >= 2 a single orbit is first proved (``_lifts_transitive``): the
+    orbit of one point of X_1 under the letters is all of X_1, and at each
+    level j = 2..k rotation powers h^-1 r_c^n h fixing one point t of
+    X_{j-1}, which generate a subgroup of its stabilizer, are transitive
+    on the p^2 points of X_j over t, which makes X_j one orbit (the module
+    docstring gives the argument).  Then the partition is the whole set,
+    |X_1| p^{2(k-1)} points, and its representative, the least code, is
+    enumerated only when it is read.  Otherwise (the action splits mod p,
+    or a fiber stays split under all thirty elements) the level-k set is
+    enumerated and partitioned by BFS, so the result is exact either way.
 
     The BFS runs the three Vieta involutions, and for "aut" joins
     their orbits by H, the group of order 24 that the double sign changes
     ex, ey, ez and the transpositions pxy, pyz, pzx generate.  Each h in H
-    has h s_a h^-1 = s_pi(a) for a permutation pi of the Vieta letters
-    (``_h_moves``), so h maps the Vieta orbit of t onto the Vieta orbit of
-    h(t), and the Aut orbit of t is the union of the Vieta orbits of H t.
-    Once the Vieta orbit of t is expanded, the six letters act on t alone,
-    and every unvisited image seeds a further Vieta orbit of the same Aut
-    orbit; those seeds are expanded and mapped by H in turn.  Every image
+    has h s_a h^-1 = s_pi(a) for a permutation pi of the Vieta letters,
+    so h maps the Vieta orbit of t onto the Vieta orbit of h(t), and the
+    Aut orbit of t is the union of the Vieta orbits of H t.  Once the
+    Vieta orbit of t is expanded, the six letters act on t alone, and every
+    unvisited image seeds a further Vieta orbit of the same Aut orbit;
+    those seeds are expanded and mapped by H in turn.  Every image
     is still located in the point set: an H-image of a non-seed point lies
     in a Vieta orbit that is expanded, and so checked, in full.  The seeds
     are the least unvisited indices (``partition``).
@@ -435,7 +464,7 @@ def orbits(p, k, D, gens="gamma") -> OrbitPartition:
     M = _code_modulus(p, k)
     if k >= 2:
         base = enumerate_points(p, 1, D)
-        if _lifts_transitive(base, p, k, residue_of(D, p, k), _family(gens)):
+        if _lifts_transitive(base, p, k, residue_of(D, p, k), gens):
             total = len(base) * p ** (2 * (k - 1))
 
             def least():
@@ -447,15 +476,6 @@ def orbits(p, k, D, gens="gamma") -> OrbitPartition:
     sizes, seeds = partition(points, maps[:3], maps[3:])
     reps = list(zip(*(c.tolist() for c in _decode(points[seeds], M))))
     return OrbitPartition(p, k, gens, int(len(points)), sizes, reps)
-
-
-def _word_perm(points: np.ndarray, word, M: int) -> np.ndarray:
-    """Index in the sorted ``points`` of each point's image under ``word``, mod M."""
-    act = {g: _residue_action(g, M) for g in set(word)}
-    triple = _decode(points, M)
-    for g in reversed(word):  # the rightmost letter acts first
-        triple = act[g](*triple)
-    return _locate(points, _encode(*triple, M))
 
 
 def affine_table(b, e1, e2, p: int) -> np.ndarray:
@@ -477,13 +497,19 @@ def _fiber_perms(t, p: int, j: int, d: int):
     """Each word's table on the codes u + p v of X_j over t, a point of X_{j-1} (an int triple).
 
     (u, v) are a point's free offsets from t mod p^(j-1) (``fiber_step``).
-    ``affine_table`` fits a word fixing t mod p^(j-1) from its images of the
-    frame, the points at offsets (0, 0), (1, 0) and (0, 1), mod p^j (the
-    module docstring gives the argument).  An image that does not reduce to
-    t mod p^(j-1) escaped the fiber and raises ``RuntimeError``, as ``_locate`` does.
+    ``affine_table`` fits an ``AutWord`` fixing t mod p^(j-1) from its
+    images of the frame, the points at offsets (0, 0), (1, 0) and (0, 1),
+    mod p^j (the module docstring gives the argument), each taken by
+    ``apply_word`` on ``PadicInt`` at precision j.  An image that does not
+    reduce to t mod p^(j-1) escaped the fiber and raises ``RuntimeError``,
+    as ``_locate`` does.
     """
-    M, q = p**j, p ** (j - 1)
-    frame = [fiber_step(t, u, v, p, j, d) for u, v in ((0, 0), (1, 0), (0, 1))]
+    q = p ** (j - 1)
+    D = PadicInt(p, j, d)
+    frame = [
+        SurfacePoint(*(PadicInt(p, j, c) for c in fiber_step(t, u, v, p, j, d)), D)
+        for u, v in ((0, 0), (1, 0), (0, 1))
+    ]
     free = [i for i in range(3) if i != unit_partial(t, p)]
 
     def offsets(triple):
@@ -491,199 +517,72 @@ def _fiber_perms(t, p: int, j: int, d: int):
             raise RuntimeError("generator image escaped the point set")
         return [triple[i] // q for i in free]
 
-    def perm(word) -> np.ndarray:
-        formulas = [generator_formula(g) for g in reversed(word)]  # rightmost acts first
-        images = []
-        for x, y, z in frame:
-            for formula in formulas:
-                x, y, z = formula(x, y, z)
-                x, y, z = x % M, y % M, z % M
-            images.append(offsets((x, y, z)))
-        return affine_table(*images, p)
+    def perm(word: AutWord) -> np.ndarray:
+        return affine_table(*(offsets(apply_word(word, pt).residues()) for pt in frame), p)
 
     return perm
 
 
-def _h_moves() -> tuple[dict, dict]:
-    """H's 24 elements, each named by its image of (1, 2, 3): how letters move past them.
-
-    Every letter of H is a signed permutation of the coordinates.  For an
-    element e and a letter g, ``moves[e][g]`` is the element e g when g is
-    in H, and for a Vieta letter s_a the letter e s_a e^-1, the Vieta
-    involution of the coordinate that e fills from coordinate a.  ``words[e]``
-    is a shortest word for e in H's letters.
-    """
-    words, moves = {(1, 2, 3): ()}, {}
-    queue = deque(words)
-    while queue:
-        e = queue.popleft()
-        moves[e] = {}
-        for g in ALL_LETTERS:
-            if g in VIETA_LETTERS:
-                a = VIETA_LETTERS.index(g) + 1
-                moves[e][g] = VIETA_LETTERS[[abs(c) for c in e].index(a)]
-                continue
-            image = generator_formula(g)(1, 2, 3)
-            eg = moves[e][g] = tuple(image[c - 1] if c > 0 else -image[-c - 1] for c in e)
-            if eg not in words:
-                words[eg] = (*words[e], g)
-                queue.append(eg)
-    return moves, words
+def _return_time(word: AutWord, t, p: int) -> int:
+    """The least n >= 1 with word^n(t) = t mod p, for a point t mod p (an int triple)."""
+    acts = [_residue_action(g, p) for g in reversed(word.letters)]  # rightmost first
+    s, n = tuple(t), 0
+    while True:
+        for act in acts:
+            s = act(*s)
+        n += 1
+        if s == tuple(t):
+            return n
 
 
-_H_MOVES, _H_WORDS = _h_moves()
+def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, gens: str) -> bool:
+    """True when the family is proved transitive on the level-1 set ``base`` and up to level k.
 
-
-def _normal_form(word) -> tuple[str, ...]:
-    """The map of ``word`` as a freely reduced Vieta word, then a shortest word in H.
-
-    Each letter of H moves right past a Vieta letter as e s_a = s_b e
-    (``_h_moves``), and the letters of H multiply to one element there;
-    adjacent equal Vieta letters cancel, as every letter is an involution.
-    """
-    out: list[str] = []
-    e = (1, 2, 3)
-    for g in word:
-        move = _H_MOVES[e][g]
-        if isinstance(move, tuple):
-            e = move
-        elif out and out[-1] == move:
-            out.pop()
-        else:
-            out.append(move)
-    return (*out, *_H_WORDS[e])
-
-
-def _bfs_tree(perms):
-    """BFS tree from index 0 under the permutations ``perms``, or None if it misses an index.
-
-    The tree edge into node v leaves ``parent[v]`` by ``perms[step[v]]``:
-    of the edges from the layer before, the first with nodes in BFS order
-    and each node's permutations in order.  Returns ``(parent, step,
-    layers)``.  The permutations are taken one at a time, so besides the
-    three arrays a layer holds its own images only.
-    """
-    m, n = len(perms), len(perms[0])
-    parent = np.full(n, -1, dtype=np.int64)
-    step = np.full(n, -1, dtype=np.int64)
-    first = np.full(n, m * n, dtype=np.int64)  # least edge (position * m + word) into a node
-    parent[0] = 0
-    layers = [np.zeros(1, dtype=np.int64)]
-    while layers[-1].size:
-        edges = np.arange(0, m * layers[-1].size, m, dtype=np.int64)
-        reached = []
-        for i, perm in enumerate(perms):
-            image = perm[layers[-1]]
-            fresh = parent[image] < 0
-            image = image[fresh]
-            least = first[image]
-            reached.append(image[least == m * n])
-            first[image] = np.minimum(least, edges[fresh] + i)
-        new = np.concatenate(reached)
-        new = new[np.argsort(first[new])]
-        parent[new], step[new] = layers[-1][first[new] // m], first[new] % m
-        first[new] = m * n
-        layers.append(new)
-    return None if np.any(parent < 0) else (parent, step, layers)
-
-
-def _schreier_loops(words, perms, tree, max_letters: int):
-    """Distinct nontrivial Schreier generators of the stabilizer of index 0.
-
-    ``perms[i]`` is the action of ``words[i]`` on a set of indices, and
-    ``tree`` their ``_bfs_tree``, whose path word phi_u maps 0 to u.  Each
-    non-tree edge u -> v = g(u) gives the loop phi_v^-1 g phi_u, which
-    fixes 0 (Schreier's lemma: these generate its stabilizer in the group
-    the words generate, as that group is transitive on the set).  Words
-    are letter tuples, rightmost letter first, so a word's inverse is its
-    reversal.  Each loop is put in ``_normal_form`` and yielded when that
-    form is new.  The loops stop before one whose unreduced word would take
-    the letters yielded past ``max_letters``.
-
-    The edges are taken deepest first, each followed by one of a spread
-    every count // 32 edges from the deep end.  In a sweep of 4,728
-    classes at p <= 53 a draw of LOOPS loops read 9 to 57 candidates, and
-    at most 23 in 94% of draws: the deepest 5 to 12 edges and the spread
-    through about the deepest third.  Deep loops whose paths share a long
-    stem are conjugates, by that stem, of short loops where the paths
-    part, and loops near 0 generate little: in that sweep the deepest
-    edges alone lose 10 proofs, and a spread over the nodes instead of
-    the edges loses 2.
-    """
-    parent, step, layers = tree
-    size = np.array([len(w) for w in words], dtype=np.int64)
-    reach = np.zeros(len(parent), dtype=np.int64)  # letters of each path word
-    for layer in layers[1:]:
-        reach[layer] = reach[parent[layer]] + size[step[layer]]
-    deep = np.concatenate(layers)[::-1]
-    # the tree edges leaving a node are the edges into its children
-    ends = np.cumsum(len(perms) - np.bincount(parent[1:], minlength=len(parent))[deep])
-
-    def edge(j):
-        """The j-th non-tree edge (u, i), deepest u first."""
-        r = int(np.searchsorted(ends, j, side="right"))
-        u = int(deep[r])
-        loose = [i for i, perm in enumerate(perms) if parent[perm[u]] != u or step[perm[u]] != i]
-        return u, loose[j - (ends[r - 1] if r else 0)]
-
-    def path(v):
-        letters = []
-        while v:
-            letters.extend(words[step[v]])
-            v = int(parent[v])
-        return letters
-
-    count = int(ends[-1])
-    spread = range(0, count, max(1, count // 32))
-    seen = set()
-    for u, i in map(edge, chain(chain.from_iterable(zip(range(count), spread)), range(count))):
-        v = int(perms[i][u])
-        if reach[v] + size[i] + reach[u] > max_letters:
-            return
-        loop = _normal_form(chain(reversed(path(v)), words[i], path(u)))
-        if loop and loop not in seen:
-            seen.add(loop)
-            max_letters -= len(loop)
-            yield loop
-
-
-def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, letters) -> bool:
-    """True when the letters are proved transitive on the level-1 set ``base`` and up to level k.
-
-    Each level is settled by one ``_bfs_tree`` of its words: a missed point
-    means several orbits, and a tree that reaches every point gives the
-    words of the next level.  The words on X_1 are the letters; at level j
-    (the module docstring gives the argument) they are LOOPS loops
-    (``_schreier_loops``) drawn from the last tree, each fitted by
-    ``_fiber_perms`` on the p^2 points of X_j over t, which is ``base``'s
-    least point for j = 2 and then the root of the last tree,
-    ``fiber_step``'s point at offsets (0, 0).  If a tree misses a point or
-    the loops run out, nothing is proved and this returns False.
+    Level 1 is one orbit expansion from ``base``'s least point t under the
+    family's maps, as in ``partition``, that must reach every point.  At
+    level j the stabilizers w^n, w = h^-1 r_c h for the ``CONJUGATORS`` h
+    and c = x, y, z, fix t mod p^(j-1) (the module docstring gives the
+    argument) and are fitted by ``_fiber_perms`` on the p^2 points of X_j
+    over t, which is then ``fiber_step``'s point at offsets (0, 0).  The
+    three with h = () come first; while their tables leave the fiber
+    split, those with h of length 1 and then 2 join them, each stage built
+    when it is first needed.  An exponent n starts at the return time of
+    t mod p under w and is kept from level to level, times p while w^n
+    moves t mod p^(j-1).  A split at level 1, or at a level under all
+    thirty tables, proves nothing, and this returns False.
     """
     if not len(base):
         return False
-    # per level-1 point: each letter's permutation, the BFS tree and the
-    # loop search's arrays (traced peaks 84 and 138 bytes a point for the 3
-    # and 9 letters); per fiber point: a level's LOOPS permutations and
-    # their BFS, two levels of them from j = 3 (traced peaks up to 97 bytes
-    # a point at level 2, at p = 101 to 809, and 180 over two levels, at
-    # p = 101 to 211).  The loop words' letters have the rest of the
-    # budget, LETTER_BYTES each
-    per_fiber = 8 * p**2 * (LOOPS + 16)
-    need = max(8 * len(base) * (len(letters) + 10) + per_fiber, 2 * per_fiber if k > 2 else 0)
-    check_budget(need, "fiber proof")
-    max_letters = (_max_mem() - need) // LETTER_BYTES
-    words = [(g,) for g in letters]
-    perms = [_word_perm(base, w, p) for w in words]
-    t = [int(c) for c in _decode(base[0], p)]
-    j = 1  # the level the words act on
-    while (tree := _bfs_tree(perms) if perms else None) is not None and j < k:
-        j += 1
-        held = sum(map(len, words))
-        words = list(islice(_schreier_loops(words, perms, tree, max_letters - held), LOOPS))
-        perms = list(map(_fiber_perms(t, p, j, d), words))
-        t = fiber_step(t, 0, 0, p, j, d)  # code 0, the root of the next level's tree
-    return tree is not None
+    # per mod-p point, the level-1 expansion (traced peaks 18 bytes a point
+    # at p = 101 to 809); per fiber point, a level's thirty tables and their
+    # BFS (peaks 277-298 bytes a point at p = 101 to 809 with every stage
+    # run, up to 350 at p = 53); and 128 KiB for the words and points
+    check_budget(8 * (3 * len(base) + 44 * p**2) + (1 << 17), "fiber proof")
+    maps = _gen_maps(p, 1, gens)
+    if _expand_orbit(base, maps[:3], 0, np.zeros(len(base), dtype=bool), maps[3:]) < len(base):
+        return False
+    t = t1 = [int(c) for c in _decode(base[0], p)]
+    codes = np.arange(p * p, dtype=np.int64)
+    exponents = {}  # (h, c) -> n, for the stages built so far
+    for j in range(2, k + 1):
+        fit, tables = _fiber_perms(t, p, j, d), []
+        for size in range(3):
+            for h, c in ((h, c) for h in CONJUGATORS if len(h) == size for c in "xyz"):
+                n = exponents.get((h, c)) or _return_time(h.inverse() * rotation(c, 1) * h, t1, p)
+                while True:
+                    try:
+                        tables.append(fit(h.inverse() * rotation(c, n) * h))
+                        break
+                    except RuntimeError:  # w^n moves t mod p^(j-1)
+                        n *= p
+                exponents[h, c] = n
+            visited = np.zeros(p * p, dtype=bool)
+            if _expand_orbit(codes, [tb.__getitem__ for tb in tables], 0, visited) == p * p:
+                break
+        else:
+            return False
+        t = fiber_step(t, 0, 0, p, j, d)
+    return True
 
 
 def partition(points: np.ndarray, maps, joins=()) -> tuple[list[int], list[int]]:

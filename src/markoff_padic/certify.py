@@ -27,6 +27,7 @@ from .flow import local_minimality_det, twisted_minimality_det
 from .padic import PadicInt, legendre, residue_of, sqrt
 from .polydisk import PolydiskChart, parametrize, recentre
 from .surface import (
+    CONJUGATORS,
     AutWord,
     SurfacePoint,
     VIETA_LETTERS,
@@ -87,17 +88,9 @@ def _parab_candidates(pt: SurfacePoint):
 def _conjugated_power_candidates(pt: SurfacePoint):
     p = pt.prime
     n_quarter = (p * p - 1) // 4
-    conjugators = [AutWord(())]
-    conjugators += [AutWord((g,)) for g in VIETA_LETTERS]
-    conjugators += [
-        AutWord((g, h))
-        for g in VIETA_LETTERS
-        for h in VIETA_LETTERS
-        if g != h
-    ]
     for name in "xyz":
         power = rotation(name, n_quarter)
-        for alpha in conjugators:
+        for alpha in CONJUGATORS:
             yield alpha.inverse() * power * alpha
 
 

@@ -298,6 +298,15 @@ def rotation(c: str, m: int) -> AutWord:
     return AutWord(_ROTATION_PAIRS[c]).power(m)
 
 
+# the ten Vieta words of length <= 2, shortest first: the conjugators h of
+# the rotation stabilizers h^-1 r_c^n h that certify and census take
+CONJUGATORS = (
+    AutWord(),
+    *(AutWord((g,)) for g in VIETA_LETTERS),
+    *(AutWord((g, h)) for g in VIETA_LETTERS for h in VIETA_LETTERS if g != h),
+)
+
+
 def apply_word(word: AutWord, pt: SurfacePoint, gamma_only: bool = False) -> SurfacePoint:
     """Apply a word to a point, rightmost run first, each run as one companion power.
 

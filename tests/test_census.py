@@ -27,8 +27,10 @@ from markoff_padic.census import (
 from markoff_padic.padic import PadicInt
 from markoff_padic.surface import (
     ALL_LETTERS,
+    CONJUGATORS,
     GENERATORS,
     VIETA_LETTERS,
+    AutWord,
     fiber_step,
     gradient,
     is_point,
@@ -495,11 +497,11 @@ def _bfs_reference(p, k, D, gens):
     return sizes, [tuple(int(c) for c in _decode(pts[s], p**k)) for s in seeds]
 
 
-@pytest.mark.parametrize("p, k", [(5, 2), (7, 2), (5, 3)])
+@pytest.mark.parametrize("p, k", [(5, 2), (7, 2), (5, 3), (3, 4)])
 def test_orbits_match_the_bfs_reference_in_every_class(p, k, monkeypatch):
-    # every D mod p^2 (mod 125 at level 3), both families: sizes, their
+    # every D mod p^2 (mod p^3 from level 3), both families: sizes, their
     # order and the representatives; every one-orbit class here is proved
-    # (28, 48 and 140 of them), none falls back to the BFS
+    # (28, 48, 140 and 12 of them), none falls back to the BFS
     proofs = []
     lifts = census._lifts_transitive
     monkeypatch.setattr(
@@ -530,10 +532,11 @@ def test_orbits_match_the_bfs_reference(pk, D, gens):
 
 
 def test_a_split_fiber_falls_back_to_the_bfs():
-    # one Aut orbit mod 7 at D = 3, but two at level 2: no loop sample can
-    # prove a split transitive, so the enumerating BFS answers exactly
+    # one Aut orbit mod 7 at D = 3, but two at level 2: no set of
+    # stabilizers can prove a split transitive, so the enumerating BFS
+    # answers exactly
     assert orbits(7, 1, 3, "aut").orbit_sizes == [36]
-    assert not census._lifts_transitive(enumerate_points(7, 1, 3), 7, 2, 3, ALL_LETTERS)
+    assert not census._lifts_transitive(enumerate_points(7, 1, 3), 7, 2, 3, "aut")
     part = orbits(7, 2, 3, "aut")
     assert (part.orbit_sizes, part.representatives) == ([36, 1728], [(10, 1, 0), (22, 3, 0)])
 
@@ -551,15 +554,30 @@ def test_a_split_fiber_falls_back_to_the_bfs():
         (23, 2, 84, "aut"),
         (23, 2, 245, "aut"),
         (23, 2, 406, "aut"),
+        # w^n moves t~ mod p^2 for one rotation, and its p-th power is needed
+        *((11, 3, 77, g) for g in ("gamma", "aut")),
+        # the fiber stays split until the length-2 conjugators join
+        *((13, 2, D, g) for D in (37, 143) for g in ("gamma", "aut")),
+        # those, and at level 3 the rotations' exponents kept from level 2:
+        # w^(np), as a fixed n p^(j-2) would give, leaves level 3 split
+        *((13, 3, D, g) for D in (37, 143) for g in ("gamma", "aut")),
     ],
 )
 def test_one_draw_of_loops_proves_these_classes(p, k, D, gens):
-    # one orbit each, proved by one draw of loops in the edge order of
-    # _schreier_loops (the deepest non-tree edges, each followed by one in
-    # every count // 32); drawn from a spread over the nodes instead, or
-    # from the deepest edges alone, the loops leave some of these fibers split
+    # one orbit each, proved by the rotation stabilizers h^-1 r_c^n h, the
+    # loops at t: the first ten classes were the old Schreier-loop draw's
+    # pinned cases, the rest need the mechanism named above them
     base = enumerate_points(p, 1, D)
-    assert census._lifts_transitive(base, p, k, D % p**k, census._family(gens))
+    assert census._lifts_transitive(base, p, k, D % p**k, gens)
+
+
+def test_conjugators_of_length_one_leave_13_2_37_split(monkeypatch):
+    # one orbit at (13, 2, 37), proved only once the length-2 conjugators join
+    base = enumerate_points(13, 1, 37)
+    monkeypatch.setattr(census, "CONJUGATORS", CONJUGATORS[:4])
+    assert not any(census._lifts_transitive(base, 13, 2, 37, g) for g in ("gamma", "aut"))
+    monkeypatch.setattr(census, "CONJUGATORS", CONJUGATORS)
+    assert all(census._lifts_transitive(base, 13, 2, 37, g) for g in ("gamma", "aut"))
 
 
 def test_a_proof_enumerates_no_level_k_set(monkeypatch):
@@ -593,11 +611,11 @@ def test_a_proof_enumerates_no_level_k_set(monkeypatch):
 
 
 def test_fiber_proof_budget_bounds_the_traced_peak(monkeypatch):
-    # the level-1 arrays and the fiber permutations stay within the budget
-    # the proof is checked against, also when the top fiber splits under
-    # its loops, which are one draw of LOOPS tables, and a smaller budget
-    # refuses it
-    level, tables, bfs_tree = [], [], census._bfs_tree
+    # the level-1 arrays and the fiber tables stay within the budget the
+    # proof is checked against, also when the top fiber is made to split
+    # after each stage's BFS, so that all thirty tables are held, and a
+    # smaller budget refuses it
+    level, tables, expand = [], [], census._expand_orbit
     fiber_perms = census._fiber_perms
 
     def counted(t, p, j, d):
@@ -608,50 +626,37 @@ def test_fiber_proof_budget_bounds_the_traced_peak(monkeypatch):
     monkeypatch.setattr(census, "_fiber_perms", counted)
     for p, k, gens in ((211, 2, "aut"), (211, 2, "gamma"), (101, 3, "aut"), (101, 3, "gamma")):
         base = enumerate_points(p, 1, 0)
-        letters = census._family(gens)
-        fiber = 8 * p**2 * (census.LOOPS + 16)
-        need = max(8 * len(base) * (len(letters) + 10) + fiber, 2 * fiber if k > 2 else 0)
+        need = 8 * (3 * len(base) + 44 * p**2) + (1 << 17)
         for split in (False, True):
             level.clear()
             tables.clear()
-            monkeypatch.setattr(
-                census,
-                "_bfs_tree",
-                lambda perms: None if split and level[-1:] == [k] else bfs_tree(perms),
-            )
+
+            def split_top(points, maps, *args, split=split, p=p, k=k):
+                size = expand(points, maps, *args)
+                return size - (split and len(points) == p * p and level[-1] == k)
+
+            monkeypatch.setattr(census, "_expand_orbit", split_top)
             tracemalloc.start()
             try:
-                assert census._lifts_transitive(base, p, k, 0, letters) is not split
+                assert census._lifts_transitive(base, p, k, 0, gens) is not split
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak <= need, (p, k, gens, split, peak, need)
-            assert 0 < tables.count(k) <= census.LOOPS, (p, k, gens, split)
-    monkeypatch.setattr(census, "_bfs_tree", bfs_tree)
+            assert (tables.count(k) >= 30) is split, (p, k, gens)  # every stage ran
+    monkeypatch.setattr(census, "_expand_orbit", expand)
     monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "2M")  # the level-1 solve needs 1.3 MB
     with pytest.raises(BudgetError, match="fiber proof"):
         orbits(101, 2, 0, "aut")
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.sampled_from(ALL_LETTERS), max_size=40),
-    st.tuples(*[st.integers(0, 7**3 - 1)] * 3),
-)
-def test_loop_normal_form_is_the_same_map(word, triple):
-    # a reduced Vieta word, then at most three letters of H, acting as the word does
-    def act(w):
-        t = triple
-        for g in reversed(w):  # the rightmost letter acts first
-            t = census._residue_action(g, 7**3)(*t)
-        return t
-
-    form = census._normal_form(word)
-    vieta = [g for g in form if g in VIETA_LETTERS]
-    assert act(form) == act(word) and census._normal_form(form) == form
-    assert form[: len(vieta)] == tuple(vieta) and len(form) - len(vieta) <= 3
-    assert all(a != b for a, b in zip(vieta, vieta[1:]))
-    assert len(census._H_WORDS) == 24
+def _word_perm(points, word, M):
+    """Index in the sorted ``points`` of each point's image under ``word``, letter by letter, mod M."""
+    act = {g: census._residue_action(g, M) for g in set(word)}
+    triple = _decode(points, M)
+    for g in reversed(word):  # the rightmost letter acts first
+        triple = act[g](*triple)
+    return census._locate(points, _encode(*triple, M))
 
 
 def _digit_fiber(t, p, j, d):
@@ -678,9 +683,10 @@ def _digit_fiber(t, p, j, d):
     st.sampled_from(("gamma", "aut")),
 )
 def test_fitted_fiber_tables_match_the_letter_by_letter_action(pk, D, gens):
-    # every loop's table, fitted from three frame points, against the loop
-    # applied letter by letter to a scanned fiber indexed by its free
-    # digits; then the verdict against the proof run on those permutations
+    # every stabilizer's table, fitted from three frame points by runs,
+    # against its letters applied one by one to a scanned fiber indexed by
+    # its free digits; then the verdict against the proof run on those
+    # permutations
     p, k = pk
     base, d = enumerate_points(p, 1, D), D % p**k
     fitted, checked = census._fiber_perms, []
@@ -689,7 +695,7 @@ def test_fitted_fiber_tables_match_the_letter_by_letter_action(pk, D, gens):
         fiber, digits = _digit_fiber(t, p, j, d)
         at = np.argsort(digits)  # the fiber index of each digit code
         assert np.array_equal(digits[at], np.arange(p * p))
-        return lambda word: digits[census._word_perm(fiber, word, p**j)[at]]
+        return lambda word: digits[_word_perm(fiber, word.letters, p**j)[at]]
 
     def checking(t, p, j, d):
         perm, reference = fitted(t, p, j, d), letter_by_letter(t, p, j, d)
@@ -704,9 +710,9 @@ def test_fitted_fiber_tables_match_the_letter_by_letter_action(pk, D, gens):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census, "_fiber_perms", checking)
-        verdict = census._lifts_transitive(base, p, k, d, census._family(gens))
+        verdict = census._lifts_transitive(base, p, k, d, gens)
         mp.setattr(census, "_fiber_perms", letter_by_letter)
-        assert verdict == census._lifts_transitive(base, p, k, d, census._family(gens))
+        assert verdict == census._lifts_transitive(base, p, k, d, gens)
     assert checked or not verdict
 
 
@@ -734,7 +740,7 @@ def test_the_fiber_frame_is_the_lifts_of_t_at_unit_offsets(pk, D):
             assert any(g % p for g in gradient(x, y, z))
             assert all(0 <= c < M and (c - s) % q == 0 for c, s in zip(triple, t))
             assert tuple((triple[i] - t[i]) % M // q for i in free) == offsets
-        assert np.array_equal(census._fiber_perms(t, p, j, D % p**k)(()), np.arange(p * p))
+        assert np.array_equal(census._fiber_perms(t, p, j, D % p**k)(AutWord()), np.arange(p * p))
         t = frame[0]
     assert t == newton_fiber([int(c) for c in _decode(base[0], p)], D, p, k)
 
@@ -743,35 +749,34 @@ def test_a_word_that_moves_the_base_point_escapes_the_fiber():
     base = enumerate_points(7, 1, 0)
     t = [int(c) for c in _decode(base[0], 7)]
     perm = census._fiber_perms(t, 7, 2, 0)
-    assert np.array_equal(perm(()), np.arange(49))
+    assert np.array_equal(perm(AutWord()), np.arange(49))
     fiber = census._lift(base[:1], 7, 2, 0)
     moving = [g for g in ALL_LETTERS if [c % 7 for c in GENERATORS[g](*t)] != t]
     assert moving
     for g in moving:
         with pytest.raises(RuntimeError, match="escaped"):
-            perm((g,))
+            perm(AutWord((g,)))
         with pytest.raises(RuntimeError, match="escaped"):
-            census._word_perm(fiber, (g,), 49)
+            _word_perm(fiber, (g,), 49)
 
 
-def test_loop_words_stay_within_the_budget(monkeypatch):
-    # loop words grow 2.5-4x a level at small p: (3, 13, 5) ends holding
-    # 2.9M letters.  Under 2 MB the proof stops at its share of letters,
-    # inside the traced budget, and the fallback's lift refuses as it does
-    # for a class that splits
+def test_deep_classes_are_proved_under_a_small_budget(monkeypatch):
+    # a stabilizer is a few runs whatever its exponent, so the proof at
+    # (3, 13) and (5, 9) holds a fiber of p^2 points and thirty short words
+    # a level: under 2 MB both are proved one orbit with no level-k set lifted
     monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "2M")
-    for p, k, D in ((5, 9, 0), (3, 13, 5)):
+    lift, lifted = census._lift, []
+    monkeypatch.setattr(census, "_lift", lambda *a: lifted.append(a[2]) or lift(*a))
+    for p, k, D in ((3, 13, 5), (5, 9, 0)):
         tracemalloc.start()
         try:
-            with pytest.raises(BudgetError, match="lifting"):
-                orbits(p, k, D, "aut")
+            part = orbits(p, k, D, "aut")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 << 20, (p, k, D, peak)
-    # a budget that holds the words proves the class
-    monkeypatch.setenv("MARKOFF_PADIC_MAX_MEM", "8M")
-    assert orbits(5, 7, 0, "aut").orbit_sizes == [40 * 5**12]
+        total = len(enumerate_points(p, 1, D)) * p ** (2 * (k - 1))
+        assert part.transitive and part.orbit_sizes == [part.total] == [total], (p, k, D)
+        assert lifted == [] and peak < 2 << 20, (p, k, D, peak)
 
 
 def test_no_point_mod_p_lifts_to_no_point():
