@@ -19,9 +19,9 @@ each point t of X_{j-1} at level j, one per pair of free offsets (u, v)
 steps level by level at all p^2 offsets and the fiber proof at three.
 A word w fixing t mod p^(j-1) has integer coefficients, so w(t + p^(j-1)
 h) = w(t) + p^(j-1) Dw(t) h mod p^j sends (u, v) to b + A (u, v) mod p;
-``affine_table`` tabulates that map on the codes u + p v from the images
-of the frame (0, 0), (1, 0), (0, 1), for ``_fiber_perms`` and
-``certify``'s residual stage.
+``_fiber_perms`` tabulates that map on the codes u + p v of the free
+offsets from the images of the frame (0, 0), (1, 0), (0, 1), for the
+fiber proof and ``certify``'s residual stage (at j = 2 over its base).
 
 Sets are built and deduplicated by sorting, never by numpy's ``unique``,
 which on numpy 2.x hashes int64 input and runs tens of times slower.
@@ -43,9 +43,10 @@ an Aut orbit is the union of the Vieta orbits of the H-images of one
 point: after a Vieta orbit is expanded, H's letters act on its seed alone
 and each unvisited image seeds a further Vieta orbit (``orbits`` gives the
 argument).  ``partition`` is the seed loop for any sorted set and maps
-(``certify`` runs it on chart residues): the next orbit's seed, the least
-unvisited index, comes from one vectorized forward scan of the visited
-flags.  A request over the memory budget raises ``BudgetError``.
+(``certify`` runs it on the free offsets of the fiber): the next orbit's
+seed, the least unvisited index, comes from one vectorized forward scan
+of the visited flags.  A request over the memory budget raises
+``BudgetError``.
 
 A single orbit at level k >= 2 is proved without enumerating level k.  If
 the group is transitive on X_{j-1} and the stabilizer G_t of one point t
@@ -66,7 +67,7 @@ the fiber is a proof, and several orbits prove nothing: ``orbits`` then
 enumerates and runs the BFS.  Either way the partition is exact.  Each
 w^n is a word of at most three runs, whatever n, so a level fits at most
 thirty tables and runs a BFS of p^2 points a stage, at any depth; the
-proof holds O(|X_1| + p^2) arrays, budgeted up front.
+proof holds O(|X_1| + p^2) arrays, budgeted before each stage.
 
 The exponent.  Suppose w^n fixes t~ mod p^m with m >= 1, so w^n(t~) =
 t~ + p^m c.  Its linear part J at t~ is unipotent mod p: r_c^n fixes
@@ -478,31 +479,17 @@ def orbits(p, k, D, gens="gamma") -> OrbitPartition:
     return OrbitPartition(p, k, gens, int(len(points)), sizes, reps)
 
 
-def affine_table(b, e1, e2, p: int) -> np.ndarray:
-    """The affine map of F_p^2 through three images, as a table on the codes u + p v.
-
-    ``b``, ``e1`` and ``e2`` are the (u, v) images mod p of the frame
-    points (0, 0), (1, 0) and (0, 1): the map is e -> b + A e, the columns
-    of A being e1 - b and e2 - b.  Entry u + p v of the table is the code
-    of the image of (u, v).
-    """
-    s = np.arange(p, dtype=np.int64)
-    u2, v2 = (
-        (b[i] + (e2[i] - b[i]) * s[:, None] + (e1[i] - b[i]) * s) % p for i in (0, 1)
-    )
-    return (u2 + p * v2).ravel()  # row v, column u
-
-
 def _fiber_perms(t, p: int, j: int, d: int):
     """Each word's table on the codes u + p v of X_j over t, a point of X_{j-1} (an int triple).
 
     (u, v) are a point's free offsets from t mod p^(j-1) (``fiber_step``).
-    ``affine_table`` fits an ``AutWord`` fixing t mod p^(j-1) from its
-    images of the frame, the points at offsets (0, 0), (1, 0) and (0, 1),
-    mod p^j (the module docstring gives the argument), each taken by
-    ``apply_word`` on ``PadicInt`` at precision j.  An image that does not
-    reduce to t mod p^(j-1) escaped the fiber and raises ``RuntimeError``,
-    as ``_locate`` does.
+    An ``AutWord`` fixing t mod p^(j-1) acts on them as e -> b + A e (the
+    module docstring gives the argument), fitted from its images of the
+    frame, the points at offsets (0, 0), (1, 0) and (0, 1), each taken by
+    ``apply_word`` on ``PadicInt`` at precision j: b is the image of (0, 0)
+    and the columns of A are e1 - b and e2 - b.  Entry u + p v of the table
+    is the code of the image of (u, v).  A word whose frame images do not
+    reduce to t mod p^(j-1) leaves the fiber, and its table is None.
     """
     q = p ** (j - 1)
     D = PadicInt(p, j, d)
@@ -511,14 +498,15 @@ def _fiber_perms(t, p: int, j: int, d: int):
         for u, v in ((0, 0), (1, 0), (0, 1))
     ]
     free = [i for i in range(3) if i != unit_partial(t, p)]
+    s = np.arange(p, dtype=np.int64)
 
-    def offsets(triple):
-        if any((c - s) % q for c, s in zip(triple, t)):
-            raise RuntimeError("generator image escaped the point set")
-        return [triple[i] // q for i in free]
-
-    def perm(word: AutWord) -> np.ndarray:
-        return affine_table(*(offsets(apply_word(word, pt).residues()) for pt in frame), p)
+    def perm(word: AutWord) -> np.ndarray | None:
+        images = [apply_word(word, pt).residues() for pt in frame]
+        if any((c - r) % q for triple in images for c, r in zip(triple, t)):
+            return None
+        b, e1, e2 = ([triple[i] // q for i in free] for triple in images)
+        u2, v2 = ((b[i] + (e2[i] - b[i]) * s[:, None] + (e1[i] - b[i]) * s) % p for i in (0, 1))
+        return (u2 + p * v2).ravel()  # row v, column u
 
     return perm
 
@@ -545,19 +533,25 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, gens: str) -> bo
     argument) and are fitted by ``_fiber_perms`` on the p^2 points of X_j
     over t, which is then ``fiber_step``'s point at offsets (0, 0).  The
     three with h = () come first; while their tables leave the fiber
-    split, those with h of length 1 and then 2 join them, each stage built
-    when it is first needed.  An exponent n starts at the return time of
-    t mod p under w and is kept from level to level, times p while w^n
-    moves t mod p^(j-1).  A split at level 1, or at a level under all
-    thirty tables, proves nothing, and this returns False.
+    split, those with h of length 1 and then 2 join them, each stage
+    budgeted for the tables held after it and built when it is first
+    needed.  An exponent n starts at the return time of t mod p under w
+    and is kept from level to level, times p while w^n moves t mod
+    p^(j-1), that is while its table is None.  A split at level 1, or at a
+    level under all thirty tables, proves nothing, and this returns False.
     """
     if not len(base):
         return False
-    # per mod-p point, the level-1 expansion (traced peaks 18 bytes a point
-    # at p = 101 to 809); per fiber point, a level's thirty tables and their
-    # BFS (peaks 277-298 bytes a point at p = 101 to 809 with every stage
-    # run, up to 350 at p = 53); and 128 KiB for the words and points
-    check_budget(8 * (3 * len(base) + 44 * p**2) + (1 << 17), "fiber proof")
+
+    def check(tables: int) -> None:
+        # per mod-p point, the level-1 expansion (traced peaks 18-19 bytes a
+        # point at p = 101 to 809); per fiber point, the tables held after
+        # the stage and its BFS (peaks 57-59, 151-159 and 295-311 bytes a
+        # point with 3, 12 and 30 tables, every stage split, at p = 101 to
+        # 809); and 128 KiB for the words and points
+        check_budget(8 * (3 * len(base) + (tables + 14) * p**2) + (1 << 17), "fiber proof")
+
+    check(3)
     maps = _gen_maps(p, 1, gens)
     if _expand_orbit(base, maps[:3], 0, np.zeros(len(base), dtype=bool), maps[3:]) < len(base):
         return False
@@ -567,14 +561,13 @@ def _lifts_transitive(base: np.ndarray, p: int, k: int, d: int, gens: str) -> bo
     for j in range(2, k + 1):
         fit, tables = _fiber_perms(t, p, j, d), []
         for size in range(3):
-            for h, c in ((h, c) for h in CONJUGATORS if len(h) == size for c in "xyz"):
+            stage = [(h, c) for h in CONJUGATORS if len(h) == size for c in "xyz"]
+            check(len(tables) + len(stage))
+            for h, c in stage:
                 n = exponents.get((h, c)) or _return_time(h.inverse() * rotation(c, 1) * h, t1, p)
-                while True:
-                    try:
-                        tables.append(fit(h.inverse() * rotation(c, n) * h))
-                        break
-                    except RuntimeError:  # w^n moves t mod p^(j-1)
-                        n *= p
+                while (table := fit(h.inverse() * rotation(c, n) * h)) is None:
+                    n *= p  # w^n moves t mod p^(j-1)
+                tables.append(table)
                 exponents[h, c] = n
             visited = np.zeros(p * p, dtype=bool)
             if _expand_orbit(codes, [tb.__getitem__ for tb in tables], 0, visited) == p * p:

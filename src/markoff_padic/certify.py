@@ -7,12 +7,12 @@ recentred at T_p-fixed coordinates (`base_point_chart`), a strict move (a
 Vieta word displacing the base point by exactly p^{-1}), residual
 transitivity (the stabilizers and the strict move act on the polydisk mod
 p^2, the smooth fiber of p^2 points over the base, as affine maps of the
-chart residues F_p^2, and ``census.partition`` counts their orbits), and a
-unit minimal-subdisk determinant.  The first stage that fails is recorded
-as "stage: reason" and ends the run; a refusal by the memory budget
-(``census.BudgetError``) is a usage error and propagates.  Certificates are
-deterministic and replayable: re-running the pipeline on the recorded
-parameters must reproduce every recorded value.
+free offsets of the fiber, F_p^2, and ``census.partition`` counts their
+orbits), and a unit minimal-subdisk determinant.  The first stage that
+fails is recorded as "stage: reason" and ends the run; a refusal by the
+memory budget (``census.BudgetError``) is a usage error and propagates.
+Certificates are deterministic and replayable: re-running the pipeline on
+the recorded parameters must reproduce every recorded value.
 """
 
 from __future__ import annotations
@@ -143,44 +143,31 @@ def strict_move_search(pt: SurfacePoint, budget: int = 8):
     raise ValueError("no strict move found")
 
 
-def _affine_tables(chart: PolydiskChart, words) -> list[np.ndarray]:
-    """Each word on the index codes u + p v of chart residues mod p, as a table.
-
-    A word acts on chart residues as t -> A t + b (``residual_transitivity``),
-    and ``census.affine_table`` fits it from the chart images mod p of
-    (0, 0), (1, 0) and (0, 1).  The images are ``chart.apply_word_uv``'s,
-    with the three chart points computed once for all the words.
-    """
-    p = chart.prime
-    fit = [chart.psi(*chart.uv(u, v)) for u, v in ((0, 0), (1, 0), (0, 1))]
-    tables = []
-    for word in words:
-        images = ([c.residue % p for c in chart.psi_inv(apply_word(word, pt))] for pt in fit)
-        tables.append(census.affine_table(*images, p))
-    return tables
-
-
 def residual_transitivity(chart: PolydiskChart, words) -> dict:
     """Orbits of the words on the chart polydisk mod p^2, as affine maps of F_p^2.
 
-    The chart map psi(t) = base + p J t mod p^2, t = (u, v) mod p and J its
-    Jacobian at 0, is the smooth fiber of p^2 points over the base mod p.  A
-    word w fixing the base mod p sends it to w(base) + p Dw(base) J t mod
-    p^2, which is affine in t mod p: w acts on chart residues as
-    t -> A t + b, and three images fit it (``_affine_tables``).  Because w
-    is a bijection of the fiber, A is invertible.  ``census.partition``
-    partitions the p^2 index codes u + p v under these maps, once a byte
-    estimate of the arrays is within MARKOFF_PADIC_MAX_MEM.  The report
-    carries the orbit sizes; the verdict is a single orbit.
+    The polydisk mod p^2 is the smooth fiber of p^2 points over the base
+    mod p, on which a word fixing the base mod p acts as an affine map of
+    its free offsets (u, v) (``census`` gives the linearization argument),
+    fitted from three frame points by ``census._fiber_perms``.  A word
+    moving the base mod p leaves the polydisk and fails the stage.  The
+    chart residues are the free offsets translated by the base's second
+    digits, so the orbits are the same.  ``census.partition`` partitions
+    the p^2 codes u + p v under these maps, once a byte estimate of the
+    arrays is within MARKOFF_PADIC_MAX_MEM.  The report carries the orbit
+    sizes; the verdict is a single orbit.
     """
     p = chart.prime
     # per residue: 8 per word for its table, and per word its BFS images and
     # their sorted copy while the orbits are expanded; tracemalloc peaks on
-    # both routes at p = 211 to 1453 are 37.9, 55.2 and 72.5 bytes per
-    # residue with 2, 3 and 4 words (and 132.2 with 7)
+    # both routes at p = 211 to 1453 are 38.0-39.9, 52.4-58.2, 66.4-76.0 and
+    # 102.5-112.3 bytes per residue with 2, 3, 4 and 7 words
     census.check_budget((8 + 18 * len(words)) * p * p, "residual partition")
-    maps = [table.__getitem__ for table in _affine_tables(chart, words)]
-    sizes, _ = census.partition(np.arange(p * p, dtype=np.int64), maps)
+    fit = census._fiber_perms(chart.base.residues(1), p, 2, chart.base.D.residue)
+    tables = [fit(w) for w in words]
+    if any(table is None for table in tables):
+        raise ValueError("leaves polydisk")
+    sizes, _ = census.partition(np.arange(p * p, dtype=np.int64), [tb.__getitem__ for tb in tables])
     return {
         "transitive": len(sizes) == 1,
         "orbit_sizes": sorted(sizes),

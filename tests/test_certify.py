@@ -156,20 +156,35 @@ def test_residual_budget_bounds_the_traced_peak(D, route, monkeypatch):
 
 
 def _reference_orbit_sizes(chart, words):
-    """Orbit sizes of the words' PadicInt chart tables on the residues mod p."""
+    """Orbit sizes of the words' PadicInt chart tables on the residues mod p, and the tables.
+
+    A word's table maps each chart code u + p v to its image's code, one
+    ``apply_word_uv`` a residue; it is None for a word that leaves the
+    polydisk, and the sizes are then None.
+    """
     p = chart.prime
-    parent = {(u, v): (u, v) for u in range(p) for v in range(p)}
+    tables = []
+    for w in words:
+        try:
+            images = [chart.apply_word_uv(w, chart.uv(u, v)) for v in range(p) for u in range(p)]
+        except ValueError as exc:
+            assert "leaves polydisk" in str(exc)
+            tables.append(None)
+            continue
+        tables.append(np.array([a.residue % p + p * (b.residue % p) for a, b in images]))
+    if any(table is None for table in tables):
+        return None, tables
+    parent = list(range(p * p))
 
     def find(a):
         while parent[a] != a:
             a = parent[a]
         return a
 
-    for w in words:
-        for u, v in list(parent):
-            image = tuple(c.residue % p for c in chart.apply_word_uv(w, chart.uv(u, v)))
-            parent[find((u, v))] = find(image)
-    return sorted(Counter(find(a) for a in parent).values())
+    for table in tables:
+        for e, image in enumerate(table.tolist()):
+            parent[find(e)] = find(image)
+    return sorted(Counter(find(a) for a in parent).values()), tables
 
 
 @st.composite
@@ -209,17 +224,42 @@ def _transitivity_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(_transitivity_cases())
 def test_residual_transitivity_matches_the_chart_table(case):
-    # the affine maps fitted at three chart points against the per-point
-    # PadicInt table of the conjugated action on all p^2 chart residues mod p
+    # the affine maps fitted on the fiber's frame against the per-point
+    # PadicInt table of the conjugated action on all p^2 chart residues mod
+    # p: a chart residue (u, v) is the fiber's free offset (u + y1, v + z1)
+    # mod p, with y1 and z1 the base's second digits, so the tables agree
+    # under that translation, word by word, and the stage partitions
+    # exactly those tables
     chart, words = case
-    try:
-        want = _reference_orbit_sizes(chart, words)
-    except ValueError as exc:
-        assert "leaves polydisk" in str(exc)
+    p = chart.prime
+    want, chart_tables = _reference_orbit_sizes(chart, words)
+    y1, z1 = (c.residue // p % p for c in (chart.base.y, chart.base.z))
+    e = np.arange(p * p)
+
+    def sigma(codes):
+        return (codes % p + y1) % p + p * ((codes // p + z1) % p)
+
+    fit = census._fiber_perms(chart.base.residues(1), p, 2, chart.base.D.residue)
+    tables = [fit(w) for w in words]
+    for w, table, chart_table in zip(words, tables, chart_tables):
+        if chart_table is None:
+            assert table is None, w
+        else:
+            assert np.array_equal(table[sigma(e)], sigma(chart_table)), w
+    if want is None:
         with pytest.raises(ValueError, match="leaves polydisk"):
             residual_transitivity(chart, words)
         return
-    rep = residual_transitivity(chart, words)
+    partition, partitioned = census.partition, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            census,
+            "partition",
+            lambda codes, maps: partitioned.extend(m.__self__ for m in maps) or partition(codes, maps),
+        )
+        rep = residual_transitivity(chart, words)
+    assert len(partitioned) == len(words)
+    assert all(np.array_equal(a, b) for a, b in zip(partitioned, tables))
     assert rep["orbit_sizes"] == want
     assert rep["transitive"] == (want == [chart.prime**2])
     assert rep["generators"] == [str(w) for w in words]
